@@ -44,15 +44,9 @@ val mkfs : Rae_block.Device.t -> ninodes:int -> ?journal_len:int -> unit -> (uni
 (** Format the device (rfs image + journal). *)
 
 val mount :
-  ?config:config ->
-  ?bugs:Bug_registry.t ->
-  ?pool:Rae_par.Pool.t ->
-  Rae_block.Device.t ->
-  (t, string) result
+  ?config:config -> ?bugs:Bug_registry.t -> Rae_block.Device.t -> (t, string) result
 (** Journal replay, then attach.  The superblock and bitmaps are parsed
-    leniently (the base trusts its own image — deliberately).  [?pool]
-    parallelizes the replay destage (see {!Rae_journal.Journal.replay})
-    and is retained for contained reboots. *)
+    leniently (the base trusts its own image — deliberately). *)
 
 val unmount : t -> (unit, string) result
 (** Commit everything and mark the superblock clean. *)
@@ -139,10 +133,6 @@ val set_events : t -> Rae_obs.Events.t -> unit
 (** Attach a flight recorder: every injected-bug trigger records a
     [Bug_fired] event with the catalog id, so a postmortem bundle shows
     the fault next to the recovery it caused. *)
-
-val set_par_pool : t -> Rae_par.Pool.t option -> unit
-(** Attach (or detach, with [None]) a domain pool used to parallelize the
-    journal-replay destage during contained reboots. *)
 
 val register_obs : Rae_obs.Metrics.t -> t -> unit
 (** Register the base's counters and gauges — op/commit/validation counts,

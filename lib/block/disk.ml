@@ -8,8 +8,10 @@ type t = {
   block_size : int;
   latency : latency;
   clock : Rae_util.Vclock.t;
-  (* Atomics: parallel destage and parallel fsck read/write one disk from
-     several domains at once; the op counters must not drop increments. *)
+  (* Atomics: the checkpoint's background fold domain reads the disk
+     while the owning domain writes it, so the op counters take
+     increments from two domains at once and must not drop any.  (The
+     crash sweep's domains each build their own disks.) *)
   reads : int Atomic.t;
   writes : int Atomic.t;
 }

@@ -15,10 +15,8 @@ type policy = {
   ckpt_fast_paths : bool;
   slow_op_ns : int;
   par_domains : int;
-      (* > 1: create a domain pool of this size and use it for recovery
-         fsck and replay destage, move the checkpoint fold onto a
-         background domain, and expose the pool to callers.  1 (default)
-         keeps every path on the calling domain, bit-for-bit. *)
+      (* > 1: move the checkpoint fold onto a background domain.  1
+         (default) keeps every path on the calling domain, bit-for-bit. *)
 }
 
 let default_policy =
@@ -75,7 +73,6 @@ type t = {
   recovery_hist : Rae_obs.Metrics.histogram;
   ph_hists : (string * Rae_obs.Metrics.histogram) list;
   ckpt : Checkpoint.t option;
-  pool : Rae_par.Pool.t option;  (* par_domains > 1; shared with base + recovery fsck *)
   events : Rae_obs.Events.t option;  (* flight recorder, shared with base/ckpt/srv *)
   run_id : string;
   rev : string;  (* resolved once; "" when bundles are off *)
@@ -108,17 +105,13 @@ let make ?(policy = default_policy) ?tracer ?events ?bundle_dir ?(run_id = "") ~
   (match events with
   | Some ev -> Rae_obs.Events.set_clock ev (fun () -> Int64.to_int (now ()))
   | None -> ());
-  let pool =
-    if policy.par_domains > 1 then Some (Rae_par.Pool.create ~domains:policy.par_domains ())
-    else None
-  in
   let ckpt =
     if policy.ckpt_enabled then begin
       let c =
         Checkpoint.create ?tracer ?events ~fast_paths:policy.ckpt_fast_paths
           ~shadow_checks:policy.shadow_checks ~fold_interval:policy.ckpt_fold_interval device
       in
-      (* With a pool in play the fold moves off the hot path entirely: the
+      (* With par_domains > 1 the fold moves off the hot path entirely: the
          record step enqueues, a dedicated domain folds.  The queue stays
          shallow — each entry pins an oplog-suffix snapshot, and recovery's
          seed phase must drain whatever is left. *)
@@ -138,7 +131,6 @@ let make ?(policy = default_policy) ?tracer ?events ?bundle_dir ?(run_id = "") ~
       recovery_hist = Rae_obs.Metrics.histogram ();
       ph_hists = List.map (fun n -> (n, Rae_obs.Metrics.histogram ())) phase_names;
       ckpt;
-      pool;
       events;
       run_id;
       rev = (match bundle_dir with Some _ -> Rae_obs.Blackbox.git_rev () | None -> "");
@@ -162,8 +154,6 @@ let make ?(policy = default_policy) ?tracer ?events ?bundle_dir ?(run_id = "") ~
   in
   (match tracer with Some tr -> Base.set_tracer base tr | None -> ());
   (match events with Some ev -> Base.set_events base ev | None -> ());
-  (* Contained reboots replay the journal with the pool's domains. *)
-  (match pool with Some _ -> Base.set_par_pool base pool | None -> ());
   Base.on_commit base (fun ~commit_seq ->
       t.committed_during_op <- true;
       t.last_commit_seq <- commit_seq);
@@ -175,7 +165,6 @@ let make ?(policy = default_policy) ?tracer ?events ?bundle_dir ?(run_id = "") ~
   t
 
 let base t = t.base
-let pool t = t.pool
 let degraded t = t.degraded
 let events t = t.events
 let bundle_dir t = t.bundle_dir
@@ -521,7 +510,6 @@ let recover t ~trigger ~inflight ~attempt =
         Shadow.default_config with
         Shadow.checks = t.policy.shadow_checks;
         fsck_on_attach = t.policy.fsck_before_recovery;
-        fsck_pool = t.pool;
       }
     in
     let shadow =
@@ -727,20 +715,13 @@ let reset_stats t =
   Oplog.reset_stats t.oplog;
   Rae_obs.Metrics.h_reset t.recovery_hist;
   List.iter (fun (_, h) -> Rae_obs.Metrics.h_reset h) t.ph_hists;
-  (match t.pool with Some p -> Rae_par.Pool.reset_stats p | None -> ());
   match t.ckpt with Some c -> Checkpoint.reset_stats c | None -> ()
 
-(* Join the parallel runtime: the checkpoint's background fold domain
-   (drained first — shutdown doubles as a barrier) and the pool's worker
-   domains.  Controllers without [par_domains > 1] have nothing to join.
-   Call when retiring a controller; domains are a bounded OS resource. *)
-let shutdown t =
-  (match t.ckpt with Some c -> Checkpoint.shutdown c | None -> ());
-  match t.pool with
-  | Some p ->
-      Base.set_par_pool t.base None;
-      Rae_par.Pool.shutdown p
-  | None -> ()
+(* Join the checkpoint's background fold domain (drained first — shutdown
+   doubles as a barrier).  Controllers without [par_domains > 1] have
+   nothing to join.  Call when retiring a controller; domains are a
+   bounded OS resource. *)
+let shutdown t = match t.ckpt with Some c -> Checkpoint.shutdown c | None -> ()
 
 let checkpoint_now t =
   match t.ckpt with
@@ -818,18 +799,5 @@ let register_obs reg t =
         (Printf.sprintf "rae_phase_%s_ns" (String.map (fun c -> if c = '-' then '_' else c) name))
         h)
     t.ph_hists;
-  (match t.pool with
-  | Some p ->
-      M.register_gauge reg ~help:"domain-pool size (participants)" "rae_par_domains" (fun () ->
-          float_of_int (Rae_par.Pool.size p));
-      M.register_counter reg ~help:"domain-pool chunk executions"
-        ~reset:(fun () -> Rae_par.Pool.reset_stats p)
-        "rae_par_tasks_total"
-        (fun () -> (Rae_par.Pool.stats p).Rae_par.Pool.tasks_run);
-      M.register_counter reg ~help:"domain-pool chunks stolen across deques" "rae_par_steals_total"
-        (fun () -> (Rae_par.Pool.stats p).Rae_par.Pool.steals);
-      M.register_counter reg ~help:"parallel batches dispatched to the pool" "rae_par_batches_total"
-        (fun () -> (Rae_par.Pool.stats p).Rae_par.Pool.batches)
-  | None -> ());
   (match t.ckpt with Some c -> Checkpoint.register_obs reg c | None -> ());
   Base.register_obs reg t.base

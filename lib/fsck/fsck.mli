@@ -58,19 +58,9 @@ val code_to_string : code -> string
 val pp_finding : Format.formatter -> finding -> unit
 val pp_report : Format.formatter -> report -> unit
 
-val check : ?pool:Rae_par.Pool.t -> (int -> bytes) -> report
-(** Run the full check over a block-read function (device or overlay).
+val check : (int -> bytes) -> report
+(** Run the full check over a block-read function (device or overlay). *)
 
-    With [?pool] of size > 1 the expensive passes — inode scan, both
-    bitmap cross-checks, the directory-tree walk (BFS by frontier level),
-    and the block-reference pass — are decomposed per contiguous range
-    (pFSCK-style) and run on the pool, with all shared-table updates
-    confined to sequential merge points.  The finding *set* is identical
-    to the sequential check; only the tree-walk and block-reference
-    passes may permute finding order (frontier/sorted-ino order instead
-    of DFS/Hashtbl order).  Without a pool (or with a size-1 pool) the
-    sequential code paths run unchanged. *)
-
-val check_device : ?pool:Rae_par.Pool.t -> Rae_block.Device.t -> report
+val check_device : Rae_block.Device.t -> report
 (** {!check} over a read-only view of the device; read errors surface as
     [Io_failure] findings rather than exceptions. *)

@@ -306,52 +306,7 @@ let scan_transactions dev geo ~tail_seq ~tail_ptr =
   in
   go tail_ptr tail_seq []
 
-let unescape flags data =
-  if flags land flag_escaped <> 0 then begin
-    let d = Bytes.copy data in
-    Codec.set_u32 d 0 jmagic;
-    d
-  end
-  else data
-
-(* Destage the journaled writes to their home locations on the pool.  The
-   final image is what matters (later transactions overwrite earlier
-   writes to the same home block), so collapse the write stream to its
-   last-write-wins home -> data map first and issue exactly one write per
-   home block; the homes are pairwise disjoint, so the parallel writes
-   never touch the same block.  Only the write *stream* differs from the
-   sequential destage (fewer, reordered writes); the resulting image is
-   byte-equal, which the par ≡ seq qcheck property pins down. *)
-let destage_parallel pool dev txns ~suppressed =
-  let final = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun txn ->
-      List.iter
-        (fun (home, flags, data) ->
-          if not (suppressed home txn.r_seq) then begin
-            if not (Hashtbl.mem final home) then order := home :: !order;
-            Hashtbl.replace final home (unescape flags data)
-          end)
-        txn.r_writes)
-    txns;
-  let homes = Array.of_list (List.rev !order) in
-  Rae_par.Pool.parallel_for pool ~n:(Array.length homes) (fun i ->
-      let home = homes.(i) in
-      match Hashtbl.find_opt final home with
-      | Some data -> Device.write dev home data
-      | None -> () (* unreachable: [homes] lists exactly [final]'s keys *))
-
-let destage_sequential dev txns ~suppressed =
-  List.iter
-    (fun txn ->
-      List.iter
-        (fun (home, flags, data) ->
-          if not (suppressed home txn.r_seq) then Device.write dev home (unescape flags data))
-        txn.r_writes)
-    txns
-
-let replay ?pool dev geo =
+let replay dev geo =
   match decode_jsb (Device.read dev (region_start geo)) with
   | None -> Error "journal superblock unreadable; cannot replay"
   | Some (tail_seq, tail_ptr) ->
@@ -367,9 +322,23 @@ let replay ?pool dev geo =
         let suppressed home seq =
           List.exists (fun (b, s) -> b = home && Int64.compare s seq >= 0) revoked_at
         in
-        (match pool with
-        | Some p when Rae_par.Pool.size p > 1 -> destage_parallel p dev txns ~suppressed
-        | Some _ | None -> destage_sequential dev txns ~suppressed);
+        List.iter
+          (fun txn ->
+            List.iter
+              (fun (home, flags, data) ->
+                if not (suppressed home txn.r_seq) then begin
+                  let out =
+                    if flags land flag_escaped <> 0 then begin
+                      let d = Bytes.copy data in
+                      Codec.set_u32 d 0 jmagic;
+                      d
+                    end
+                    else data
+                  in
+                  Device.write dev home out
+                end)
+              txn.r_writes)
+          txns;
         Device.flush dev;
         (match txns with
         | [] -> ()

@@ -72,18 +72,11 @@ val commit_seq : t -> int64
     equal readings bracket a commit-free interval — the property the
     warm-checkpoint cut relies on. *)
 
-val replay :
-  ?pool:Rae_par.Pool.t -> Rae_block.Device.t -> Rae_format.Layout.geometry -> (int, string) result
+val replay : Rae_block.Device.t -> Rae_format.Layout.geometry -> (int, string) result
 (** Crash recovery: scan from the tail, apply every complete committed
     transaction (respecting revokes), flush, and advance the tail.  Returns
     the number of transactions replayed.  Safe to run on a clean journal
-    (returns [Ok 0]).  Idempotent.
-
-    With [?pool] of size > 1 the destage step collapses the committed
-    write stream to its last-write-wins home map and issues the (pairwise
-    disjoint) home writes across the pool's domains; the resulting image
-    is byte-equal to the sequential destage.  Without a pool the exact
-    sequential write stream runs unchanged. *)
+    (returns [Ok 0]).  Idempotent. *)
 
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit

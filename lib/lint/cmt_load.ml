@@ -69,12 +69,17 @@ let load_cmt path =
         }
 
 (* Recursively collect *.cmt under [dirs] (dune hides them in dot-dirs
-   like .rae_util.objs, so dot-directories are descended into). *)
+   like .rae_util.objs, so dot-directories are descended into).  Dune
+   declares each .cmt under [byte/]; ocamlopt run with -bin-annot also
+   leaves a copy under [native/] until dune deletes it at the end of the
+   build, so a scan that overlaps a build would load every unit twice.
+   [native/] directories are skipped. *)
 let find_cmts dirs =
   let out = ref [] in
   let rec walk path =
     match Sys.is_directory path with
     | exception Sys_error _ -> ()
+    | true when String.equal (Filename.basename path) "native" -> ()
     | true ->
         let entries = try Sys.readdir path with Sys_error _ -> [||] in
         Array.iter (fun e -> walk (Filename.concat path e)) entries

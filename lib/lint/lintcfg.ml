@@ -225,12 +225,12 @@ let default =
         ("journal-replay", [ "Rae_journal.Journal.replay" ]);
         ("ckpt-fold", [ "Rae_core.Checkpoint.fold" ]);
         ("constrained-replay", [ "Rae_shadowfs.Shadow.exec_constrained" ]);
-        (* PR 10 parallel roots: code that now actually runs on worker
-           domains.  The pool's worker loop is the generic root (every
-           parallel_for body executes under it); the other three are the
-           per-layer entry points the pool is handed. *)
+        (* Parallel roots: code that actually runs on a second domain.
+           The pool's worker loop is the generic root (every
+           parallel_for body executes under it); the other two are the
+           background fold worker and the crash sweep the pool is
+           handed. *)
         ("par-pool", [ "Rae_par.Pool." ]);
-        ("par-destage", [ "Rae_journal.Journal.destage_parallel" ]);
         ("par-fold", [ "Rae_core.Checkpoint.worker_loop" ]);
         ("par-crash-sweep", [ "Rae_crash.Engine.sweep_workloads" ]);
       ];
@@ -267,10 +267,14 @@ let default =
            points, so intra-shadow state never crosses domains. *)
         ("Rae_shadowfs.", "shadow instance owned by the replaying domain");
         ("Rae_specfs.", "spec state embedded in a domain-owned shadow");
-        ("Rae_fsck.", "per-pass scan state; pFSCK decomposition is per block group");
-        (* The journal replay destager partitions by home block; its
-           in-memory state is rebuilt per replay invocation. *)
-        ("Rae_journal.", "replay-local transaction scan state");
+        (* A check builds its scan state per call and runs on one
+           domain: recovery's attach-time fsck on the owning domain, or
+           a sweep domain checking its own crash image. *)
+        ("Rae_fsck.", "per-check scan state, built and consumed by the checking domain");
+        (* Replay rebuilds its transaction scan per call and runs on one
+           domain: the owner's mount or contained reboot, or a sweep
+           domain mounting its own crash image. *)
+        ("Rae_journal.", "replay-local transaction scan state on the replaying domain");
         (* Checkpoint bookkeeping (fold cursor, stats, the warm shadow
            handle): with async folding the background worker is the only
            writer while it is flagged busy, and the owning domain writes
@@ -279,10 +283,16 @@ let default =
            Unsynchronized hot-path reads (due/valid) tolerate staleness
            by design. *)
         ("Rae_core.Checkpoint.t.", "single-writer handoff: worker while busy, owner after quiesce");
-        (* The medium: per-block writes are disjoint by construction in
-           every planned decomposition (block groups / home blocks). *)
-        ("Rae_block.Disk.t.", "block-granular partitioning; per-domain write sets disjoint");
-        ("Rae_block.Blkmq.t.", "one queue per destaging domain");
+        (* The medium: only the owning domain writes a disk.  The
+           background fold domain reads it through the warm shadow, and
+           the op counters and clock both domains bump are Atomics; a
+           fold that overlaps a commit's writes is discarded by the cut
+           that commit triggers.  Each crash-sweep workload has its own
+           disks. *)
+        ("Rae_block.Disk.t.", "written by the owning domain only; fold-domain reads bump Atomics");
+        (* The queue belongs to the base's mount; the fold domain reads
+           the device directly, never through the base's queue. *)
+        ("Rae_block.Blkmq.t.", "one queue per mount, driven by the mount's domain");
         (* Each crash sweep owns its recording, scratch disks and stats;
            the one cross-sweep cell (the bundle sequence) is an Atomic. *)
         ("Rae_crash.", "sweep state owned by the driving domain; scratch disks per point");

@@ -11,9 +11,8 @@
     chunks are drained without running once an exception is recorded).
 
     A pool of size <= 1 — or [None] where an [?pool] parameter is taken —
-    degrades to plain sequential iteration in ascending index order, which
-    keeps the [par_domains = 1] policy bitwise-identical to the
-    pre-parallel code paths. *)
+    degrades to plain sequential iteration in ascending index order, so a
+    crash sweep without a pool runs exactly the sequential code path. *)
 
 type t
 

@@ -4,16 +4,9 @@ module Device = Rae_block.Device
 
 exception Violation of string
 
-type config = {
-  checks : bool;
-  fsck_on_attach : bool;
-  max_fds : int;
-  fast_paths : bool;
-  fsck_pool : Rae_par.Pool.t option;
-}
+type config = { checks : bool; fsck_on_attach : bool; max_fds : int; fast_paths : bool }
 
-let default_config =
-  { checks = true; fsck_on_attach = false; max_fds = 1024; fast_paths = true; fsck_pool = None }
+let default_config = { checks = true; fsck_on_attach = false; max_fds = 1024; fast_paths = true }
 
 type fdinfo = { fino : Types.ino; fflags : Types.open_flags }
 
@@ -114,18 +107,11 @@ let attach ?(config = default_config) ?tracer dev =
   let ov = Overlay.create dev in
   let read blk = Overlay.read ov blk in
   if config.fsck_on_attach then begin
-    let run () = Rae_fsck.Fsck.check ?pool:config.fsck_pool read in
     let report =
       match tracer with
       | Some tr ->
-          Rae_obs.Tracer.with_span tr ~cat:"recovery" "fsck" (fun () ->
-              match config.fsck_pool with
-              | Some p when Rae_par.Pool.size p > 1 ->
-                  (* Nested span so traces show when the pool carried the
-                     scan: fsck = total, par-fsck = the parallel passes. *)
-                  Rae_obs.Tracer.with_span tr ~cat:"recovery" "par-fsck" run
-              | Some _ | None -> run ())
-      | None -> run ()
+          Rae_obs.Tracer.with_span tr ~cat:"recovery" "fsck" (fun () -> Rae_fsck.Fsck.check read)
+      | None -> Rae_fsck.Fsck.check read
     in
     if not (Rae_fsck.Fsck.clean report) then
       Error

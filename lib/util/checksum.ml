@@ -21,29 +21,32 @@ let poly = 0x82F63B78
    be folded in one step:
 
      crc' = T7[b0] ^ T6[b1] ^ ... ^ T0[b7]   with b0..b3 pre-xored
-                                             against the running crc. *)
+                                             against the running crc.
+
+   Built eagerly at module initialisation, before any domain can exist:
+   a lazy table forced by two domains at once raises
+   [CamlinternalLazy.Undefined] in one of them. *)
 let tables =
-  lazy
-    (let t = Array.make_matrix 8 256 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         if !c land 1 <> 0 then c := (!c lsr 1) lxor poly else c := !c lsr 1
-       done;
-       t.(0).(n) <- !c
-     done;
-     for k = 1 to 7 do
-       for n = 0 to 255 do
-         let prev = t.(k - 1).(n) in
-         t.(k).(n) <- t.(0).(prev land 0xFF) lxor (prev lsr 8)
-       done
-     done;
-     t)
+  let t = Array.make_matrix 8 256 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      if !c land 1 <> 0 then c := (!c lsr 1) lxor poly else c := !c lsr 1
+    done;
+    t.(0).(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(k - 1).(n) in
+      t.(k).(n) <- t.(0).(prev land 0xFF) lxor (prev lsr 8)
+    done
+  done;
+  t
 
 let crc32c ?(init = 0l) b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Checksum.crc32c: out of bounds";
-  let t = Lazy.force tables in
+  let t = tables in
   let t0 = t.(0) and t1 = t.(1) and t2 = t.(2) and t3 = t.(3) in
   let t4 = t.(4) and t5 = t.(5) and t6 = t.(6) and t7 = t.(7) in
   let c = ref (Int32.to_int init land mask32 lxor mask32) in

@@ -1,6 +1,8 @@
-(* The clock is advanced from every domain that touches a disk (parallel
-   fsck reads, parallel destage writes), so the counter is an atomic and
-   [advance] is a CAS loop rather than a read-modify-write. *)
+(* The clock is advanced from every domain that touches its disk: the
+   checkpoint's background fold domain reads the device while the owning
+   domain writes it.  So the counter is an atomic and [advance] is a CAS
+   loop rather than a read-modify-write.  (The crash sweep's domains each
+   build their own disks and clocks.) *)
 type t = { ns : int64 Atomic.t }
 
 let create () = { ns = Atomic.make 0L }

@@ -1,5 +1,5 @@
 (* Tests for rae_journal: commit/checkpoint, replay, crash consistency,
-   escaping, revocation. *)
+   escaping, revocation, and replay against a last-write-wins model. *)
 
 open Rae_block
 module Journal = Rae_journal.Journal
@@ -341,6 +341,97 @@ let prop_commit_replay_equivalence =
       let direct = run ~crash:false and recovered = run ~crash:true in
       List.for_all2 Bytes.equal direct recovered)
 
+(* An image whose journal holds committed-but-undestaged transactions:
+   commits run through a device that keeps the journal record writes but
+   drops both the home-location writes and the journal superblock's tail
+   advance — the on-medium state of a crash after the journal flush, so
+   replay must destage everything.  Each txn makes a few writes with
+   deliberate cross-txn overlap (so last-write-wins matters), sometimes a
+   journal-magic collision (escape/unescape), and sometimes a revoke of
+   an earlier-written block.  Returns the disk, the geometry and the
+   committed txns as [(index, writes, revokes)]; eight txns of at most
+   five writes fit the 64-block journal without a tail reset. *)
+let undestaged_image ~seed ~ntxns =
+  let nblocks = 512 and journal_len = 64 in
+  let disk = Disk.create ~latency:Disk.zero_latency ~block_size:bs ~nblocks () in
+  let raw = Device.of_disk disk in
+  let g = Result.get_ok (Layout.compute ~nblocks ~ninodes:64 ~journal_len ()) in
+  Journal.format raw g;
+  let jlo = g.Layout.journal_start in
+  let drop_homes =
+    {
+      raw with
+      Device.dev_write =
+        (fun b data -> if b > jlo && b < jlo + journal_len then Device.write raw b data);
+    }
+  in
+  let j = attach_exn drop_homes g in
+  let rng = Rae_util.Rng.create seed in
+  let written = ref [] in
+  let txns =
+    List.init ntxns (fun k ->
+        let txn = Journal.begin_txn j in
+        let writes =
+          List.init
+            (1 + Rae_util.Rng.int rng 5)
+            (fun _ ->
+              let home = data_blk g (Rae_util.Rng.int rng 24) in
+              let data = Bytes.make bs (Char.chr (Rae_util.Rng.int rng 256)) in
+              if Rae_util.Rng.chance rng 0.2 then Bytes.blit_string "JRNL" 0 data 0 4;
+              Journal.txn_write txn home data;
+              written := home :: !written;
+              (home, data))
+        in
+        let revokes =
+          if Rae_util.Rng.chance rng 0.3 then begin
+            let b = Rae_util.Rng.pick rng (Array.of_list !written) in
+            Journal.txn_revoke txn b;
+            [ b ]
+          end
+          else []
+        in
+        Journal.commit j txn;
+        (k, writes, revokes))
+  in
+  (disk, g, txns)
+
+(* The image replay must produce: per home block, the last committed
+   write, unless a txn at the same or a later index revoked the block. *)
+let last_write_wins txns =
+  let revoked_at = Hashtbl.create 8 in
+  List.iter (fun (k, _, revokes) -> List.iter (fun b -> Hashtbl.replace revoked_at b k) revokes) txns;
+  let final = Hashtbl.create 32 in
+  List.iter
+    (fun (k, writes, _) ->
+      List.iter
+        (fun (home, data) ->
+          match Hashtbl.find_opt revoked_at home with
+          | Some r when r >= k -> ()
+          | Some _ | None -> Hashtbl.replace final home data)
+        writes)
+    txns;
+  final
+
+let prop_replay_last_write_wins =
+  QCheck2.Test.make ~name:"replay image = last-write-wins model" ~count:50
+    QCheck2.Gen.(pair ui64 (int_range 1 8))
+    (fun (seed, ntxns) ->
+      let disk, g, txns = undestaged_image ~seed ~ntxns in
+      let crashed = Disk.snapshot disk in
+      (match Journal.replay (Device.of_disk disk) g with
+      | Ok n when n = ntxns -> ()
+      | Ok n -> QCheck2.Test.fail_reportf "replayed %d of %d txns (seed %Ld)" n ntxns seed
+      | Error e -> QCheck2.Test.fail_reportf "replay failed: %s (seed %Ld)" e seed);
+      let model = last_write_wins txns in
+      (* Every block but the journal superblock, whose tail replay advances. *)
+      Array.iteri
+        (fun i before ->
+          let want = Option.value (Hashtbl.find_opt model i) ~default:before in
+          if i <> g.Layout.journal_start && not (Bytes.equal want (Disk.read disk i)) then
+            QCheck2.Test.fail_reportf "block %d differs from the model (seed %Ld)" i seed)
+        crashed;
+      true)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rae_journal"
@@ -371,5 +462,6 @@ let () =
           Alcotest.test_case "escaping survives replay" `Quick test_escaping_survives_replay;
           Alcotest.test_case "revocation suppresses replay" `Quick test_revoke_suppresses_replay;
           q prop_commit_replay_equivalence;
+          q prop_replay_last_write_wins;
         ] );
     ]
