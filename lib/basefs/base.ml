@@ -81,6 +81,8 @@ type t = {
   mutable time : int64;
   mutable txn : Journal.txn;
   txn_kinds : (int, meta_kind) Hashtbl.t;
+  mutable sb_pending : bool;  (* block 0 holds a journal slot awaiting its seal *)
+  bm_pending : (int, [ `Inode | `Block ]) Hashtbl.t;  (* bitmap blocks awaiting theirs *)
   dirty_data : (int, unit) Hashtbl.t;
   det : Detector.t;
   bug_reg : Bug_registry.t;
@@ -160,6 +162,8 @@ let mount ?(config = default_config) ?(bugs = Bug_registry.none) dev =
                           time = sb.Superblock.fs_time;
                           txn = Journal.begin_txn journal;
                           txn_kinds = Hashtbl.create 32;
+                          sb_pending = false;
+                          bm_pending = Hashtbl.create 4;
                           dirty_data = Hashtbl.create 32;
                           det = Detector.create ();
                           bug_reg = bugs;
@@ -185,7 +189,9 @@ let bget t blk =
       bc_put t.bcache blk data;
       data
 
-(* Install a metadata block: cached (pinned until commit) and journalled. *)
+(* Install a metadata block: cached (pinned until commit) and journalled.
+   The cache and the transaction share [data]; nobody mutates it again,
+   since every writer copies the cached image before changing it. *)
 let bput_meta t blk data ~kind =
   bc_put t.bcache blk data;
   bc_pin t.bcache blk;
@@ -199,36 +205,61 @@ let bput_data t blk data =
   bc_pin t.bcache blk;
   Hashtbl.replace t.dirty_data blk ()
 
+(* The superblock and the bitmap blocks are sealed once per transaction,
+   the way JBD2 logs a buffer once however often it is dirtied.  The first
+   touch encodes the block and claims its journal slot (so the journal
+   order is what a per-mutation write would give); later mutations only
+   change [t.sb] or the in-memory bitmaps; [seal] re-encodes the pending
+   blocks, superseding their slots in place, before the transaction is
+   validated and committed.  The first touch encodes from memory and never
+   reads through the cache, which would add block-layer reads; until the
+   seal the cache holds that first image, which is safe because the base
+   reads the superblock and the bitmaps only from [t.sb], [t.ibm], [t.bbm]. *)
 let flush_sb t =
-  let sb =
+  t.sb <-
     {
       t.sb with
       Superblock.fs_time = t.time;
       generation = Int64.add t.sb.Superblock.generation 1L;
       state = Superblock.Dirty;
-    }
-  in
-  t.sb <- sb;
-  bput_meta t 0 (Superblock.encode sb) ~kind:K_sb
+    };
+  if not t.sb_pending then begin
+    t.sb_pending <- true;
+    bput_meta t 0 (Superblock.encode t.sb) ~kind:K_sb
+  end
+
+let bitmap_of t = function `Inode -> t.ibm | `Block -> t.bbm
+
+let bitmap_start t = function
+  | `Inode -> t.geo.Layout.inode_bitmap_start
+  | `Block -> t.geo.Layout.block_bitmap_start
+
+let put_bitmap_block t which blk =
+  let index = blk - bitmap_start t which in
+  match Bitmap.block (bitmap_of t which) ~block_size:Layout.block_size index with
+  | Some b -> bput_meta t blk b ~kind:K_bitmap
+  | None -> Detector.bug_fail ~bug:"bitmap-io" "bitmap block %d out of range" index
 
 let flush_bitmap_bit t which bit =
-  let bm, start =
-    match which with
-    | `Inode -> (t.ibm, t.geo.Layout.inode_bitmap_start)
-    | `Block -> (t.bbm, t.geo.Layout.block_bitmap_start)
-  in
-  let blocks = Bitmap.to_blocks bm ~block_size:Layout.block_size in
-  let index = bit / Layout.bits_per_block in
-  match List.nth_opt blocks index with
-  | Some b -> bput_meta t (start + index) b ~kind:K_bitmap
-  | None -> Detector.bug_fail ~bug:"bitmap-io" "bitmap block %d out of range" index
+  let blk = bitmap_start t which + (bit / Layout.bits_per_block) in
+  if not (Hashtbl.mem t.bm_pending blk) then begin
+    put_bitmap_block t which blk;
+    Hashtbl.replace t.bm_pending blk which
+  end
+
+let seal t =
+  if t.sb_pending then begin
+    t.sb_pending <- false;
+    bput_meta t 0 (Superblock.encode t.sb) ~kind:K_sb
+  end;
+  Hashtbl.iter (fun blk which -> put_bitmap_block t which blk) t.bm_pending;
+  Hashtbl.reset t.bm_pending
 
 (* ---- validation at the commit barrier (Recon-style) ---- *)
 
 let validate_txn t =
   t.s_validations <- t.s_validations + 1;
-  List.iter
-    (fun (blk, data) ->
+  Journal.txn_iter t.txn (fun blk data ->
       match Hashtbl.find_opt t.txn_kinds blk with
       | None -> ()
       | Some K_sb -> (
@@ -270,10 +301,18 @@ let validate_txn t =
               Detector.validation_fail ~context:"indirect block" "block %d entry %d -> %d" blk i p
           done
       | Some K_bitmap -> ())
-    (Journal.txn_writes t.txn)
+
+(* Hand the running (sealed) transaction to the journal and start the
+   next one. *)
+let commit_txn t =
+  Journal.commit t.journal t.txn;
+  Hashtbl.iter (fun blk _ -> bc_unpin t.bcache blk) t.txn_kinds;
+  Hashtbl.reset t.txn_kinds;
+  t.txn <- Journal.begin_txn t.journal
 
 let commit_work t =
   begin
+    seal t;
     if t.cfg.validate_on_commit then validate_txn t;
     (* Ordered mode: data reaches the medium before the metadata that
        references it commits. *)
@@ -286,10 +325,7 @@ let commit_work t =
     Blkmq.drain t.mq;
     Hashtbl.iter (fun blk () -> bc_unpin t.bcache blk) t.dirty_data;
     Hashtbl.reset t.dirty_data;
-    Journal.commit t.journal t.txn;
-    Hashtbl.iter (fun blk _ -> bc_unpin t.bcache blk) t.txn_kinds;
-    Hashtbl.reset t.txn_kinds;
-    t.txn <- Journal.begin_txn t.journal;
+    commit_txn t;
     t.ops_since_commit <- 0;
     t.s_commits <- t.s_commits + 1;
     let commit_seq = Journal.commit_seq t.journal in
@@ -1318,6 +1354,8 @@ let contained_reboot t =
   (* Discard everything volatile: nothing in memory is trusted. *)
   Journal.abort t.journal t.txn;
   Hashtbl.reset t.txn_kinds;
+  t.sb_pending <- false;
+  Hashtbl.reset t.bm_pending;
   Hashtbl.reset t.dirty_data;
   bc_clear t.bcache;
   IC.clear t.icache;
@@ -1390,6 +1428,9 @@ let download_metadata t ~blocks ~fd_table ~time =
     let ibmap_updates = ref [] and bbmap_updates = ref [] in
     List.iter
       (fun (blk, data) ->
+        (* The journal and the cache keep what they are given: copy the
+           shadow's buffer once, here, so the two never share one. *)
+        let data = Bytes.copy data in
         match region_of t blk with
         | `Journal -> Detector.bug_fail ~bug:"download" "shadow produced a journal block %d" blk
         | `Sb -> (
@@ -1422,10 +1463,8 @@ let download_metadata t ~blocks ~fd_table ~time =
             Journal.txn_write t.txn blk data;
             if Journal.txn_block_count t.txn > txn_soft_limit t then begin
               (* Chunk very large recoveries across several transactions. *)
-              Hashtbl.iter (fun b _ -> bc_unpin t.bcache b) t.txn_kinds;
-              Journal.commit t.journal t.txn;
-              Hashtbl.reset t.txn_kinds;
-              t.txn <- Journal.begin_txn t.journal;
+              seal t;
+              commit_txn t;
               t.s_commits <- t.s_commits + 1
             end)
       blocks;

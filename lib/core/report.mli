@@ -38,7 +38,7 @@ type recovery = {
   r_seeded : bool;
       (** replay was seeded from the warm checkpoint: [r_replayed] counts
           only the Δ suffix past the fold cursor, not the whole window *)
-  r_wall_seconds : float;
+  r_wall_seconds : float;  (** elapsed (monotonic) time of the whole recovery *)
   r_phases : phase list;  (** per-phase durations, pipeline order *)
   r_outcome : outcome;
 }

@@ -127,42 +127,48 @@ let reset_cursor t = t.cursor <- 0
 let count_set t = t.nset
 let count_free t = t.nbits - t.nset
 
-let popcount_bytes bits =
-  let popcount_byte c =
+(* Bits set in each byte value, built at module initialisation. *)
+let byte_popcount =
+  let t = Bytes.create 256 in
+  for v = 0 to 255 do
     let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + (n land 1)) in
-    go (Char.code c) 0
-  in
+    Bytes.unsafe_set t v (Char.unsafe_chr (go v 0))
+  done;
+  Bytes.unsafe_to_string t
+
+let popcount_bytes bits =
   let total = ref 0 in
-  for byte = 0 to Bytes.length bits - 1 do
-    total := !total + popcount_byte (Bytes.get bits byte)
+  for i = 0 to Bytes.length bits - 1 do
+    let v = Char.code (Bytes.unsafe_get bits i) in
+    total := !total + Char.code (String.unsafe_get byte_popcount v)
   done;
   !total
 
-let to_blocks t ~block_size =
-  let nblocks = (Bytes.length t.bits + block_size - 1) / block_size in
-  let nblocks = max nblocks 1 in
-  let out = List.init nblocks (fun _ -> Bytes.make block_size '\xff') in
-  List.iteri
-    (fun bi block ->
-      let src_off = bi * block_size in
-      let len = min block_size (Bytes.length t.bits - src_off) in
-      if len > 0 then Bytes.blit t.bits src_off block 0 len)
-    out;
-  (* Mask padding bits inside the last partially-used byte: in-range bits
-     keep their value, out-of-range bits are forced to 1. *)
+let block_count t ~block_size = max 1 ((Bytes.length t.bits + block_size - 1) / block_size)
+
+let encode_block t ~block_size i =
+  let out = Bytes.make block_size '\xff' in
+  let src_off = i * block_size in
+  let n = min block_size (Bytes.length t.bits - src_off) in
+  if n > 0 then Bytes.blit t.bits src_off out 0 n;
+  (* Padding bits inside the last partially-used byte read as allocated:
+     in-range bits keep their value, out-of-range bits are forced to 1. *)
   let last_byte = (t.nbits - 1) / 8 in
   let used_bits = ((t.nbits - 1) mod 8) + 1 in
-  if used_bits < 8 then begin
-    let bi = last_byte / block_size and off = last_byte mod block_size in
-    match List.nth_opt out bi with
-    | None -> ()
-    | Some block ->
-        let v = Char.code (Bytes.get block off) in
-        let mask_high = lnot ((1 lsl used_bits) - 1) land 0xFF in
-        Bytes.set block off (Char.chr (v lor mask_high))
+  if used_bits < 8 && last_byte / block_size = i then begin
+    let off = last_byte mod block_size in
+    let mask_high = lnot ((1 lsl used_bits) - 1) land 0xFF in
+    Bytes.set out off (Char.chr (Char.code (Bytes.get out off) lor mask_high))
   end;
   out
 
+let block t ~block_size i =
+  if i < 0 || i >= block_count t ~block_size then None else Some (encode_block t ~block_size i)
+
+let to_blocks t ~block_size = List.init (block_count t ~block_size) (encode_block t ~block_size)
+
+(* Copies the needed bytes straight out of the blocks; the bytes past them
+   are only inspected (strict mode) in place. *)
 let parse blocks ~nbits ~strict =
   if nbits <= 0 then Error "nbits must be positive"
   else
@@ -171,17 +177,23 @@ let parse blocks ~nbits ~strict =
     if total_bytes < needed_bytes then
       Error (Printf.sprintf "bitmap blocks hold %d bytes, need %d" total_bytes needed_bytes)
     else begin
-      let flat = Bytes.create total_bytes in
+      let bits = Bytes.create needed_bytes in
+      let padding_ok = ref true in
       let off = ref 0 in
       List.iter
         (fun b ->
-          Bytes.blit b 0 flat !off (Bytes.length b);
-          off := !off + Bytes.length b)
+          let blen = Bytes.length b in
+          let n = max 0 (min blen (needed_bytes - !off)) in
+          if n > 0 then Bytes.blit b 0 bits !off n;
+          (* Bytes past needed_bytes must be all-ones in strict mode. *)
+          if strict then
+            for i = n to blen - 1 do
+              if Bytes.unsafe_get b i <> '\xff' then padding_ok := false
+            done;
+          off := !off + blen)
         blocks;
-      let bits = Bytes.sub flat 0 needed_bytes in
       (* Clear the in-memory padding bits of the final byte. *)
       let used_bits = ((nbits - 1) mod 8) + 1 in
-      let padding_ok = ref true in
       if used_bits < 8 then begin
         let v = Char.code (Bytes.get bits (needed_bytes - 1)) in
         let mask_high = lnot ((1 lsl used_bits) - 1) land 0xFF in
@@ -189,14 +201,7 @@ let parse blocks ~nbits ~strict =
         Bytes.set bits (needed_bytes - 1) (Char.chr (v land ((1 lsl used_bits) - 1)))
       end;
       let t = { bits; nbits; nset = popcount_bytes bits; cursor = 0 } in
-      (* Bytes past needed_bytes must be all-ones in strict mode. *)
-      if strict then begin
-        for i = needed_bytes to total_bytes - 1 do
-          if Bytes.get flat i <> '\xff' then padding_ok := false
-        done;
-        if not !padding_ok then Error "bitmap padding bits are not all-ones" else Ok t
-      end
-      else Ok t
+      if strict && not !padding_ok then Error "bitmap padding bits are not all-ones" else Ok t
     end
 
 let of_blocks blocks ~nbits = parse blocks ~nbits ~strict:true

@@ -51,6 +51,10 @@ val to_blocks : t -> block_size:int -> bytes list
 (** Serialise; the tail of the last block (bits beyond [nbits]) is all-ones,
     matching ext2's convention that out-of-range bits read as allocated. *)
 
+val block : t -> block_size:int -> int -> bytes option
+(** [block t ~block_size i] is block [i] of {!to_blocks} (a fresh buffer),
+    or [None] past the last block, without serialising the others. *)
+
 val of_blocks : bytes list -> nbits:int -> (t, string) result
 (** Parse; fails if the blocks cannot hold [nbits] or padding bits are not
     all-ones (a corruption signal fsck reports). *)

@@ -175,13 +175,16 @@ let begin_txn t =
     r_rev = [];
   }
 
+(* The transaction takes ownership of [data]: no defensive copy, the
+   caller promises not to mutate it afterwards (the base copies before it
+   mutates, so its block cache and the transaction share one image). *)
 let txn_write txn blk data =
   if Bytes.length data <> Layout.block_size then invalid_arg "Journal.txn_write: not a full block";
   (* Supersede an earlier buffered write to the same block: overwrite the
      slot in place, preserving first-write order. *)
   match Hashtbl.find_opt txn.w_index blk with
-  | Some slot -> txn.w_slots.(slot) <- (blk, Bytes.copy data)
-  | None -> txn_push txn blk (Bytes.copy data)
+  | Some slot -> txn.w_slots.(slot) <- (blk, data)
+  | None -> txn_push txn blk data
 
 let txn_revoke txn blk =
   if not (Hashtbl.mem txn.r_index blk) then begin
@@ -190,9 +193,11 @@ let txn_revoke txn blk =
   end
 
 let txn_block_count txn = txn.w_len
-let txn_writes txn = List.init txn.w_len (fun i ->
+let txn_iter txn f =
+  for i = 0 to txn.w_len - 1 do
     let blk, data = txn_slot txn i in
-    (blk, Bytes.copy data))
+    f blk data
+  done
 
 let escape_if_needed t data =
   if Int64.equal (Codec.get_u32 data 0) jmagic then begin

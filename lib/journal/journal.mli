@@ -44,7 +44,11 @@ type txn
 val begin_txn : t -> txn
 val txn_write : txn -> int -> bytes -> unit
 (** Buffer a full-block metadata write to home block [blk].  A later write
-    to the same block within the transaction supersedes the earlier one. *)
+    to the same block within the transaction supersedes the earlier one.
+
+    The transaction takes ownership of the buffer and makes no copy: the
+    caller must not mutate it afterwards.  Sharing it read-only (a block
+    cache holding the same image, say) is fine. *)
 
 val txn_revoke : txn -> int -> unit
 (** Record that [blk] was freed: earlier journalled images of it must not
@@ -52,10 +56,12 @@ val txn_revoke : txn -> int -> unit
 
 val txn_block_count : txn -> int
 
-val txn_writes : txn -> (int * bytes) list
-(** The buffered (home-block, image) pairs, oldest first — exposed so the
-    base filesystem can validate dirty metadata at the commit barrier
-    before it becomes durable ("validate upon sync", paper §3.1). *)
+val txn_iter : txn -> (int -> bytes -> unit) -> unit
+(** [txn_iter txn f] calls [f home image] on every buffered write, in
+    first-write (slot) order, without copying — exposed so the base
+    filesystem can validate dirty metadata at the commit barrier before it
+    becomes durable ("validate upon sync", paper §3.1).  [f] must not
+    mutate the images or the transaction. *)
 
 val commit : t -> txn -> unit
 (** Make the transaction durable and checkpoint it.  On return the home

@@ -53,8 +53,8 @@ type stats = {
 type t
 
 val create : ?config:config -> ?now:(unit -> int64) -> Rae_core.Controller.t -> t
-(** [now] feeds the per-op latency histogram (defaults to a CPU-time
-    clock).
+(** [now] feeds the per-op latency histogram (defaults to the host's
+    monotonic clock).
 
     The server adopts the controller's flight recorder (if any): session
     attach/evict/retry/detach land in it, dispatched ops carry their

@@ -333,21 +333,24 @@ let test_bug_nth_trigger () =
   Alcotest.(check int) "one-shot trigger" 1 (Detector.warn_count (Base.detector b))
 
 let test_bug_silent_corruption_caught_at_commit () =
-  let _disk, _dev, b =
+  let disk, _dev, b =
     mk_base
       ~config:{ Base.default_config with Base.commit_interval = 1000 }
       ~bugs:(arm [ "mballoc-freecount" ])
       ()
   in
-  (* 30 creates fire the corruption; nothing visible until the commit. *)
+  let disk_sb = Disk.read disk 0 in
+  (* 30 creates fire the corruption; nothing visible until the commit,
+     where validation sees the superblock as sealed for this transaction. *)
   for i = 1 to 30 do
     ignore (Base.exec b (Op.Create (p (Printf.sprintf "/f%d" i), 0o644)))
   done;
-  match Base.sync b with
+  (match Base.sync b with
   | exception Detector.Validation_failed { context; _ } ->
       Alcotest.(check string) "caught at the sync barrier" "superblock" context
   | Ok () -> Alcotest.fail "silent corruption reached the disk"
-  | Error e -> Alcotest.failf "unexpected errno %s" (Errno.to_string e)
+  | Error e -> Alcotest.failf "unexpected errno %s" (Errno.to_string e));
+  Alcotest.(check bool) "on-disk superblock untouched" true (Bytes.equal disk_sb (Disk.read disk 0))
 
 let test_bug_dirent_corruption_caught_at_commit () =
   let _disk, _dev, b =
@@ -429,6 +432,125 @@ let test_contained_reboot_restores_committed_state () =
   Alcotest.(check (list (pair int (pair int Alcotest.reject)))) "fd table empty" []
     (List.map (fun (a, b, c) -> (a, (b, c))) (Base.fd_table b))
 
+(* ---- superblock and bitmap sealing ---- *)
+
+(* A device that logs every write's home block, in issue order. *)
+let logging_device disk =
+  let dev = Device.of_disk disk in
+  let writes = ref [] in
+  let dev_write blk data =
+    writes := blk :: !writes;
+    dev.Device.dev_write blk data
+  in
+  ({ dev with Device.dev_write }, writes)
+
+let read_sb disk =
+  match Rae_format.Superblock.decode (Disk.read disk 0) with
+  | Ok sb -> sb
+  | Error e -> Alcotest.failf "superblock: %s" (Rae_format.Superblock.error_to_string e)
+
+(* The checkpoint writes of one commit: the home writes issued after its
+   first journal-region write (ordered data writes all come before it). *)
+let commit_homes disk b writes =
+  let g = (read_sb disk).Rae_format.Superblock.geometry in
+  let in_journal blk =
+    blk >= g.Layout.journal_start && blk < g.Layout.journal_start + g.Layout.journal_len
+  in
+  writes := [];
+  ignore (ok (Base.sync b));
+  let rec after_journal = function
+    | [] -> []
+    | blk :: rest when in_journal blk -> List.filter (fun b -> not (in_journal b)) rest
+    | _ :: rest -> after_journal rest
+  in
+  after_journal (List.rev !writes)
+
+let sealed_base () =
+  let disk = mk_disk () in
+  let dev, writes = logging_device disk in
+  ignore (ok (Base.mkfs dev ~ninodes:256 ()));
+  let b = ok (Base.mount ~config:{ Base.default_config with Base.commit_interval = 1000 } dev) in
+  ignore (ok (Base.sync b));
+  (disk, b, writes)
+
+let index_of x l =
+  let rec go i = function [] -> -1 | y :: rest -> if y = x then i else go (i + 1) rest in
+  go 0 l
+
+let test_seal_once_per_txn () =
+  let k = 6 in
+  let create b i = ignore (ok (Base.create b (p (Printf.sprintf "/f%d" i)) ~mode:0o644)) in
+  let disk1, b1, w1 = sealed_base () in
+  create b1 1;
+  let one = commit_homes disk1 b1 w1 in
+  let disk, b, writes = sealed_base () in
+  let gen0 = (read_sb disk).Rae_format.Superblock.generation in
+  for i = 1 to k do
+    create b i
+  done;
+  let homes = commit_homes disk b writes in
+  Alcotest.(check int) "block 0 logged once" 1 (List.length (List.filter (( = ) 0) homes));
+  Alcotest.(check int) "at the first mutation's slot" (index_of 0 one) (index_of 0 homes);
+  Alcotest.(check int64) "generation advances by k" (Int64.of_int k)
+    (Int64.sub (read_sb disk).Rae_format.Superblock.generation gen0)
+
+let check_counts_match_bitmaps disk =
+  let r = ok (Rae_format.Reader.attach (fun blk -> Disk.read disk blk)) in
+  let sb = r.Rae_format.Reader.sb in
+  let ibm = ok (Rae_format.Reader.load_inode_bitmap r) in
+  let bbm = ok (Rae_format.Reader.load_block_bitmap r) in
+  Alcotest.(check int) "free inodes = inode bitmap" (Rae_format.Bitmap.count_free ibm)
+    sb.Rae_format.Superblock.free_inodes;
+  Alcotest.(check int) "free blocks = block bitmap" (Rae_format.Bitmap.count_free bbm)
+    sb.Rae_format.Superblock.free_blocks
+
+let test_seal_dropped_by_reboot () =
+  (* The mkdir adds journal slots after the superblock's: a seal left
+     over from before the reboot would push block 0 behind them. *)
+  let after_reboot b =
+    ignore (ok (Base.create b (p "/g") ~mode:0o644));
+    ignore (ok (Base.mkdir b (p "/h") ~mode:0o755))
+  in
+  let fresh_disk, fresh, fresh_writes = sealed_base () in
+  after_reboot fresh;
+  let want = commit_homes fresh_disk fresh fresh_writes in
+  let disk, b, writes = sealed_base () in
+  ignore (ok (Base.mkdir b (p "/d") ~mode:0o755));
+  ignore (ok (Base.create b (p "/d/f") ~mode:0o644));
+  (* Superblock and both bitmaps now hold pending seals. *)
+  ignore (ok (Base.contained_reboot b));
+  after_reboot b;
+  Alcotest.(check (list int)) "journal order of a fresh transaction" want
+    (commit_homes disk b writes);
+  Alcotest.(check bool) "fsck clean" true (Fsck.clean (Fsck.check_device (Device.of_disk disk)));
+  check_counts_match_bitmaps disk;
+  Alcotest.(check bool) "uncommitted dir gone" true (Base.lookup b (p "/d") = Error Errno.ENOENT)
+
+let test_seal_chunked_download () =
+  let disk = mk_disk () in
+  let dev = Device.of_disk disk in
+  ignore (ok (Base.mkfs dev ~ninodes:256 ~journal_len:16 ()));
+  let config = { Base.default_config with Base.commit_interval = 1000 } in
+  let b = ok (Base.mount ~config ~bugs:(arm [ "crafted-name-panic" ]) dev) in
+  let ctl = Rae_core.Controller.make ~device:dev b in
+  (* Ten blocks of file data in the window: the base keeps them out of its
+     transaction (ordered mode), but the shadow hands them back as
+     journalled blocks, more than the 16-block journal's soft limit of 8. *)
+  let fd = ok (Rae_core.Controller.openf ctl (p "/big") Types.flags_create) in
+  ignore (ok (Rae_core.Controller.pwrite ctl fd ~off:0 (String.make (10 * bs) 'z')));
+  let commits = (Base.stats b).Base.commits in
+  ignore (ok (Rae_core.Controller.create ctl (p "/pwn") ~mode:0o644));
+  Alcotest.(check bool) "download committed in chunks" true ((Base.stats b).Base.commits >= commits + 2);
+  (match Rae_core.Controller.last_recovery ctl with
+  | None -> Alcotest.fail "no recovery"
+  | Some r ->
+      Alcotest.(check bool) "recovered" true (r.Rae_core.Report.r_outcome = Rae_core.Report.Recovered);
+      Alcotest.(check bool) "handoff over the soft limit" true (r.Rae_core.Report.r_handoff_blocks > 8));
+  Alcotest.(check bool) "fsck clean" true (Fsck.clean (Fsck.check_device dev));
+  check_counts_match_bitmaps disk;
+  Alcotest.(check string) "data kept" (String.make 8 'z')
+    (ok (Rae_core.Controller.pread ctl fd ~off:(9 * bs) ~len:8))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rae_basefs"
@@ -478,4 +600,10 @@ let () =
         ] );
       ( "reboot",
         [ Alcotest.test_case "contained reboot" `Quick test_contained_reboot_restores_committed_state ] );
+      ( "sealing",
+        [
+          Alcotest.test_case "once per txn" `Quick test_seal_once_per_txn;
+          Alcotest.test_case "reboot drops seals" `Quick test_seal_dropped_by_reboot;
+          Alcotest.test_case "chunked download" `Quick test_seal_chunked_download;
+        ] );
     ]

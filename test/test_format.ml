@@ -274,6 +274,58 @@ let prop_bitmap_roundtrip =
       | Ok bm' -> Bitmap.equal bm bm'
       | Error _ -> false)
 
+(* Parse against a naive model over the concatenated bytes: [count_set]
+   is a bit-by-bit count of [0, nbits); strict mode accepts exactly when
+   every padding bit (past [nbits] in the last byte, and every byte after
+   it) is set; lenient mode accepts whenever the bytes suffice. *)
+let prop_parse_matches_naive =
+  QCheck2.Test.make ~name:"parse count/padding = naive" ~count:500
+    QCheck2.Gen.(
+      let* sizes = list_size (int_range 1 4) (int_range 1 24) in
+      let* blocks =
+        flatten_l
+          (List.map
+             (fun n ->
+               map Bytes.of_string
+                 (string_size ~gen:(oneof [ return '\xff'; return '\x00'; char ]) (return n)))
+             sizes)
+      in
+      let total = List.fold_left ( + ) 0 sizes in
+      let* nbits = int_range 1 ((8 * total) + 8) in
+      return (blocks, nbits))
+    (fun (blocks, nbits) ->
+      let flat = Bytes.concat Bytes.empty blocks in
+      let bit i = Char.code (Bytes.get flat (i / 8)) land (1 lsl (i mod 8)) <> 0 in
+      let fits = Bytes.length flat * 8 >= nbits in
+      let naive_count = ref 0 and padding_ok = ref true in
+      if fits then
+        for i = 0 to (Bytes.length flat * 8) - 1 do
+          if i < nbits then (if bit i then incr naive_count)
+          else if not (bit i) then padding_ok := false
+        done;
+      let agrees = function
+        | Ok bm -> Bitmap.count_set bm = !naive_count && Bitmap.count_free bm = nbits - !naive_count
+        | Error _ -> false
+      in
+      let strict = Bitmap.of_blocks blocks ~nbits in
+      let lenient = Bitmap.of_blocks_lenient blocks ~nbits in
+      if not fits then Result.is_error strict && Result.is_error lenient
+      else agrees lenient && if !padding_ok then agrees strict else Result.is_error strict)
+
+(* [block] is [to_blocks] one block at a time. *)
+let prop_block_matches_to_blocks =
+  QCheck2.Test.make ~name:"block i = to_blocks i" ~count:200
+    QCheck2.Gen.(pair (int_range 1 600) (list_size (int_bound 80) (int_bound 599)))
+    (fun (nbits, sets) ->
+      let block_size = 16 in
+      let bm = Bitmap.create ~nbits in
+      List.iter (fun i -> if i < nbits then Bitmap.set bm i) sets;
+      let all = Bitmap.to_blocks bm ~block_size in
+      List.for_all2 Bytes.equal all
+        (List.init (List.length all) (fun i -> Option.get (Bitmap.block bm ~block_size i)))
+      && Bitmap.block bm ~block_size (List.length all) = None
+      && Bitmap.block bm ~block_size (-1) = None)
+
 (* ---- Inode ---- *)
 
 let sample_inode () =
@@ -653,6 +705,8 @@ let () =
           q prop_find_free_matches_naive;
           q prop_cursor_allocates_every_free_bit;
           q prop_counts_maintained;
+          q prop_parse_matches_naive;
+          q prop_block_matches_to_blocks;
         ] );
       ( "inode",
         [

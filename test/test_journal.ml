@@ -77,11 +77,13 @@ let test_txn_overwrite_keeps_first_write_order () =
   Journal.txn_write txn (data_blk g 0) (block_of_char 'A');
   Journal.txn_write txn (data_blk g 1) (block_of_char 'B');
   Alcotest.(check int) "three blocks buffered" 3 (Journal.txn_block_count txn);
-  let order = List.map fst (Journal.txn_writes txn) in
+  let slots = ref [] in
+  Journal.txn_iter txn (fun blk d -> slots := (blk, d) :: !slots);
+  let slots = List.rev !slots in
   Alcotest.(check (list int)) "first-write order preserved"
     [ data_blk g 0; data_blk g 1; data_blk g 2 ]
-    order;
-  let images = List.map (fun (_, d) -> Bytes.get d 0) (Journal.txn_writes txn) in
+    (List.map fst slots);
+  let images = List.map (fun (_, d) -> Bytes.get d 0) slots in
   Alcotest.(check (list char)) "latest images win" [ 'A'; 'B'; 'c' ] images
 
 let test_revoke_dedup () =

@@ -34,6 +34,102 @@ let test_verify () =
   Alcotest.(check bool) "verify bad" false
     (Checksum.verify b ~pos:0 ~len:7 ~expect:(Int32.add c 1l))
 
+(* The reference CRC32C: the slicing-by-8 loop the library used before it
+   moved into C, kept here to check both C paths against. *)
+let reference_tables =
+  let poly = 0x82F63B78 in
+  let t = Array.make_matrix 8 256 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      if !c land 1 <> 0 then c := (!c lsr 1) lxor poly else c := !c lsr 1
+    done;
+    t.(0).(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(k - 1).(n) in
+      t.(k).(n) <- t.(0).(prev land 0xFF) lxor (prev lsr 8)
+    done
+  done;
+  t
+
+let reference_crc32c ?(init = 0l) b ~pos ~len =
+  let t = reference_tables in
+  let mask32 = 0xFFFFFFFF in
+  let c = ref (Int32.to_int init land mask32 lxor mask32) in
+  let i = ref pos in
+  let stop = pos + len in
+  let byte j = Char.code (Bytes.get b j) in
+  while stop - !i >= 8 do
+    let j = !i in
+    let word = byte j lor (byte (j + 1) lsl 8) lor (byte (j + 2) lsl 16) lor (byte (j + 3) lsl 24) in
+    let lo = !c lxor word in
+    c :=
+      t.(7).(lo land 0xFF)
+      lxor t.(6).((lo lsr 8) land 0xFF)
+      lxor t.(5).((lo lsr 16) land 0xFF)
+      lxor t.(4).(lo lsr 24)
+      lxor t.(3).(byte (j + 4))
+      lxor t.(2).(byte (j + 5))
+      lxor t.(1).(byte (j + 6))
+      lxor t.(0).(byte (j + 7));
+    i := j + 8
+  done;
+  while !i < stop do
+    c := t.(0).((!c lxor byte !i) land 0xFF) lxor (!c lsr 8);
+    incr i
+  done;
+  Int32.of_int (!c lxor mask32)
+
+(* The stub's portable table path, bound directly so it is checked on hosts
+   where the hardware path is the one selected. *)
+external table_crc32c :
+  (int[@untagged]) -> bytes -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "rae_crc32c_table_byte" "rae_crc32c_table"
+[@@noalloc]
+
+let table_path ?(init = 0l) b ~pos ~len =
+  Int32.of_int (table_crc32c (Int32.to_int init land 0xFFFFFFFF) b pos len)
+
+let test_crc32c_rfc3720 () =
+  (* RFC 3720 appendix B.4. *)
+  let ff = String.make 32 '\xff' in
+  let inc = String.init 32 Char.chr in
+  let dec = String.init 32 (fun i -> Char.chr (31 - i)) in
+  List.iter
+    (fun (name, s, want) ->
+      Alcotest.check check_i32 name want (Checksum.crc32c_string s);
+      let b = Bytes.of_string s in
+      Alcotest.check check_i32 (name ^ ", table path") want (table_path b ~pos:0 ~len:32);
+      Alcotest.check check_i32 (name ^ ", reference") want (reference_crc32c b ~pos:0 ~len:32))
+    [ ("32 x 0xFF", ff, 0x62A8AB43l); ("0..31", inc, 0x46DD794El); ("31..0", dec, 0x113FDB5Cl) ]
+
+(* Random buffers cut at every alignment 0-7, lengths 0-64 and the two
+   block-sized ones the format checksums, with a random chained [~init]. *)
+let prop_crc32c_matches_reference =
+  let gen =
+    QCheck2.Gen.(
+      let* off = int_range 0 7 in
+      let* len = oneof [ int_range 0 64; oneofl [ 4092; 4096 ] ] in
+      let* init = map Int32.of_int (int_bound 0x3FFFFFFF) in
+      let* flip = bool in
+      let* data = string_size ~gen:char (return (off + len)) in
+      return (off, len, (if flip then Int32.lognot init else init), data))
+  in
+  QCheck2.Test.make ~name:"crc32c = reference (both paths)" ~count:1000 gen
+    (fun (pos, len, init, data) ->
+      let b = Bytes.of_string data in
+      let want = reference_crc32c ~init b ~pos ~len in
+      Int32.equal want (Checksum.crc32c ~init b ~pos ~len)
+      && Int32.equal want (table_path ~init b ~pos ~len)
+      (* Chaining: a CRC over two pieces, the second seeded with the first,
+         is the CRC over the whole. *)
+      && Int32.equal want
+           (let half = len / 2 in
+            let c = Checksum.crc32c ~init b ~pos ~len:half in
+            Checksum.crc32c ~init:c b ~pos:(pos + half) ~len:(len - half)))
+
 (* ---- Codec ---- *)
 
 let test_codec_roundtrip_fixed () =
@@ -184,6 +280,8 @@ let () =
           Alcotest.test_case "bit flip detected" `Quick test_crc32c_differs_on_flip;
           Alcotest.test_case "bounds" `Quick test_crc32c_bounds;
           Alcotest.test_case "verify" `Quick test_verify;
+          Alcotest.test_case "RFC 3720 vectors" `Quick test_crc32c_rfc3720;
+          q prop_crc32c_matches_reference;
         ] );
       ( "codec",
         [
