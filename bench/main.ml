@@ -1675,7 +1675,10 @@ let e_lint () =
    seeded fixture (a device that ignores flush barriers) must diverge and
    minimize to a tiny reproducer, or the oracle has gone blind.  Floors
    enforced on the full run: >= 500 crash points, 0 diverging, fixture
-   caught and minimized to <= 3 ops. *)
+   caught and minimized to <= 3 ops.  The full run also sweeps the
+   exhaustive bounded space (every deduplicated seq-3 workload) across
+   forked workers, one per recommended core: >= 2103 workloads,
+   >= 87,621 points, 0 diverging. *)
 let e_crash () =
   section "E-crash | crash-consistency sweep: every crash image recovers to a legal state";
   let module CE = Rae_crash.Engine in
@@ -1735,6 +1738,34 @@ let e_crash () =
       | None -> floor_violations := "fixture diverged but would not minimize" :: !floor_violations));
   if diverging > 0 then
     floor_violations := Printf.sprintf "%d diverging crash points" diverging :: !floor_violations;
+  (* The exhaustive arm, skipped under --quick: it is the single most
+     expensive measurement in the harness. *)
+  if !quick then Printf.printf "  exhaustive     skipped under --quick\n"
+  else begin
+    let workers = Domain.recommended_domain_count () in
+    let t0 = Unix.gettimeofday () in
+    let full = CE.sweep_full ~cfg ~workers () in
+    let wall = Unix.gettimeofday () -. t0 in
+    let full_diverging = List.length full.CE.s_diverging in
+    Printf.printf "  %-14s %s  (%d workers, %.1fs wall)\n" "exhaustive"
+      (Format.asprintf "%a" CE.pp_stats full) workers wall;
+    json_note ~sec:"E-crash" ~name:"full-sweep-workloads" ~unit:"count"
+      (float_of_int full.CE.s_workloads);
+    json_note ~sec:"E-crash" ~name:"full-sweep-points" ~unit:"count" (float_of_int full.CE.s_points);
+    json_note ~sec:"E-crash" ~name:"full-sweep-diverging" ~unit:"count"
+      (float_of_int full_diverging);
+    json_note ~sec:"E-crash" ~name:"full-sweep-workers" ~unit:"count" (float_of_int workers);
+    json_note ~sec:"E-crash" ~name:"full-sweep-wall" ~unit:"s" wall;
+    if full_diverging > 0 then
+      floor_violations :=
+        Printf.sprintf "exhaustive sweep: %d diverging crash points" full_diverging
+        :: !floor_violations;
+    if full.CE.s_workloads < 2103 || full.CE.s_points < 87_621 then
+      floor_violations :=
+        Printf.sprintf "exhaustive sweep covered %d workloads and %d points, under 2103 and 87621"
+          full.CE.s_workloads full.CE.s_points
+        :: !floor_violations
+  end;
   if (not !quick) && s.CE.s_points < 500 then
     floor_violations :=
       Printf.sprintf "only %d crash points enumerated, under the 500 floor" s.CE.s_points
@@ -1747,248 +1778,9 @@ let e_crash () =
     "\nExpected shape: every enumerated crash image — prefix and reordered-subset\n\
      points, including those inside the recovery pipeline's own write stream —\n\
      mounts, replays and fscks clean, and matches a legal durable boundary\n\
-     (diverging = 0).  Only the seeded broken-barriers fixture diverges, and it\n\
-     shrinks to a reproducer of at most 3 ops.\n"
-
-(* ---------------------------------------------------------------- *)
-(* E-par: OCaml 5 domain parallelism — background fold, crash sweep   *)
-(* ---------------------------------------------------------------- *)
-
-(* Parallel arms are compared on wall-clock (Unix.gettimeofday): the
-   process-CPU clock the other sections use charges every domain's work
-   to one meter, which by construction cannot show a parallel speedup.
-   Reps are interleaved round-robin like [time_interleaved]. *)
-let wall_interleaved ~reps fs =
-  Array.iter (fun f -> f ()) fs;
-  Gc.compact ();
-  let samples = Array.map (fun _ -> ref []) fs in
-  for _ = 1 to reps do
-    Array.iteri
-      (fun i f ->
-        Gc.major ();
-        let t0 = Unix.gettimeofday () in
-        f ();
-        samples.(i) := (Unix.gettimeofday () -. t0) :: !(samples.(i)))
-      fs
-  done;
-  Array.map
-    (fun s ->
-      let sorted = List.sort compare !s in
-      List.nth sorted (List.length sorted / 2))
-    samples
-
-(* Minor heap, in words per domain, for every E-par-d sweep arm.  The
-   sweep allocates heavily, so the minor heap size moves its wall time
-   as much as the domain count does; pinning one size for all arms
-   leaves only the parallelism in the comparison. *)
-let sweep_minor_heap_words = 1 lsl 20
-
-(* A pool whose every participant runs with [sweep_minor_heap_words].
-   [Gc.set] reaches only the calling domain, and a spawned domain starts
-   from the OCAMLRUNPARAM default, so each participant applies the
-   setting itself: one thunk per participant, each parked until all
-   have started, which puts every thunk on a distinct domain. *)
-let sweep_pool ~domains =
-  let module Pool = Rae_par.Pool in
-  let pl = Pool.create ~domains () in
-  let n = Pool.size pl in
-  let started = Atomic.make 0 in
-  Pool.run pl
-    (List.init n (fun _ () ->
-         Gc.set { (Gc.get ()) with Gc.minor_heap_size = sweep_minor_heap_words };
-         Atomic.incr started;
-         while Atomic.get started < n do
-           Domain.cpu_relax ()
-         done));
-  pl
-
-(* E-par floors: hot-path fold enqueue <= the synchronous fold it
-   replaces, sweep verdicts equal across domain counts, full crash sweep
-   0 diverging.  The enqueue floor is only meaningful with a second core
-   for the fold domain, so it is enforced on full runs on hosts whose
-   [Domain.recommended_domain_count] is >= 2 and reported (with an
-   explicit skip notice) elsewhere; the correctness floors are enforced
-   always. *)
-let e_par () =
-  section "E-par | domain parallelism: background fold, crash sweep";
-  let module Pool = Rae_par.Pool in
-  let module Checkpoint = Rae_core.Checkpoint in
-  let module CE = Rae_crash.Engine in
-  let cores = Domain.recommended_domain_count () in
-  let enforce_perf = (not !quick) && cores >= 2 in
-  Printf.printf "recommended_domain_count = %d\n" cores;
-  if not enforce_perf then
-    Printf.printf
-      "(enqueue floor reported but NOT enforced: %s; correctness floors still apply)\n"
-      (if !quick then "--quick run"
-       else
-         Printf.sprintf "host recommends %d domain(s), wall-clock gains are not meaningful here"
-           cores);
-  json_note ~sec:"E-par" ~name:"recommended-domains" ~unit:"count" (float_of_int cores);
-  let floor_violations = ref [] in
-  let perf_floor msg ok =
-    if not ok then
-      if enforce_perf then floor_violations := msg :: !floor_violations
-      else Printf.printf "  floor skipped (not enforced on this run): %s\n" msg
-  in
-  let hard_floor msg ok = if not ok then floor_violations := msg :: !floor_violations in
-
-  (* -- c) checkpoint fold: hot-path enqueue vs synchronous fold ---- *)
-  subsection "E-par-c | background fold: hot-path cost of enqueue vs sync fold";
-  let fold_dev, fold_entries =
-    let fdisk = mk_disk ~nblocks:8192 () in
-    let dev = Device.of_disk fdisk in
-    ignore (ok (Base.mkfs dev ~ninodes:1024 ()));
-    let b =
-      ok (Base.mount ~config:{ Base.default_config with Base.commit_interval = max_int } dev)
-    in
-    let ops =
-      List.filter
-        (fun op -> not (Op.is_sync op))
-        (W.ops W.Metadata (Rae_util.Rng.create 13L) ~count:(sc 2500))
-    in
-    ( dev,
-      List.filter Op.is_mutation ops
-      |> List.mapi (fun seq op -> { Op.op; outcome = Base.exec b op; seq }) )
-  in
-  let nentries = List.length fold_entries in
-  let batch = 32 in
-  let fold_rep ~async () =
-    let ck = Checkpoint.create ~shadow_checks:false ~fold_interval:batch fold_dev in
-    (* Queue cap sized to the trace: the production cap (4) exists to
-       bound memory; here it would just re-serialize the arms through
-       backpressure and measure the worker, not the enqueue. *)
-    if async then Checkpoint.start_async_fold ck ~queue_cap:((nentries / batch) + 2);
-    ok (Checkpoint.cut ck ~window:0 ~fds:[] ~next_seq:0 ~commit_seq:0L);
-    let arr = Array.of_list fold_entries in
-    Gc.major ();
-    let t0 = Unix.gettimeofday () in
-    let i = ref 0 in
-    while !i < nentries do
-      let hi = min nentries (!i + batch) in
-      Checkpoint.fold ck ~entries:(Array.to_list (Array.sub arr !i (hi - !i))) ~next_seq:hi;
-      i := hi
-    done;
-    let hot = Unix.gettimeofday () -. t0 in
-    let t1 = Unix.gettimeofday () in
-    Checkpoint.checkpoint_barrier ck;
-    let drain = Unix.gettimeofday () -. t1 in
-    Checkpoint.shutdown ck;
-    (hot, drain)
-  in
-  ignore (fold_rep ~async:false ());
-  ignore (fold_rep ~async:true ());
-  let sync_hot = ref [] and async_hot = ref [] and async_drain = ref [] in
-  for _ = 1 to reps 5 do
-    let h, _ = fold_rep ~async:false () in
-    sync_hot := h :: !sync_hot;
-    let h, d = fold_rep ~async:true () in
-    async_hot := h :: !async_hot;
-    async_drain := d :: !async_drain
-  done;
-  let med l =
-    let sorted = List.sort compare !l in
-    List.nth sorted (List.length sorted / 2)
-  in
-  let t_sync = med sync_hot and t_enq = med async_hot and t_drain = med async_drain in
-  Printf.printf "  sync fold (hot path)    : %8.2f ms for %d ops\n" (t_sync *. 1e3) nentries;
-  Printf.printf "  async enqueue (hot path): %8.2f ms  (%.1fx cheaper; drain %.2f ms)\n"
-    (t_enq *. 1e3) (t_sync /. t_enq) (t_drain *. 1e3);
-  json_note ~sec:"E-par" ~name:"fold-sync-hot" ~unit:"s" t_sync;
-  json_note ~sec:"E-par" ~name:"fold-enqueue-hot" ~unit:"s" t_enq;
-  json_note ~sec:"E-par" ~name:"fold-drain" ~unit:"s" t_drain;
-  perf_floor
-    (Printf.sprintf "hot-path enqueue %.2f ms exceeds the synchronous fold %.2f ms" (t_enq *. 1e3)
-       (t_sync *. 1e3))
-    (t_enq <= t_sync);
-
-  (* -- d) crash sweep across domains ------------------------------ *)
-  subsection "E-par-d | crash sweep: 1 vs 4 domains, plus the exhaustive space";
-  let cfg =
-    {
-      CE.default_config with
-      CE.prefix_stride = (if !quick then 2 else 1);
-      samples_per_epoch = (if !quick then 6 else 12);
-    }
-  in
-  let nsample = sc 120 in
-  let prev_gc = Gc.get () in
-  Gc.set { prev_gc with Gc.minor_heap_size = sweep_minor_heap_words };
-  (* The pool lives only inside its arm: idle worker domains still join
-     every minor collection, which would slow the sequential arm. *)
-  let with_sweep_pool f =
-    let pl = sweep_pool ~domains:4 in
-    Fun.protect ~finally:(fun () -> Pool.shutdown pl) (fun () -> f pl)
-  in
-  let sweep_stats = Array.make 2 CE.empty_stats in
-  let smed =
-    wall_interleaved ~reps:(reps 3)
-      [|
-        (fun () -> sweep_stats.(0) <- CE.sweep_bounded ~cfg ~max_workloads:nsample ());
-        (fun () ->
-          with_sweep_pool (fun pl ->
-              sweep_stats.(1) <- CE.sweep_bounded ~cfg ~pool:pl ~max_workloads:nsample ()));
-      |]
-  in
-  let fingerprint (s : CE.stats) =
-    ( s.CE.s_workloads,
-      s.CE.s_points,
-      s.CE.s_consistent,
-      s.CE.s_repaired,
-      List.sort compare
-        (List.map (fun d -> (d.CE.d_label, d.CE.d_key, d.CE.d_reason)) s.CE.s_diverging) )
-  in
-  Printf.printf "  minor heap  : %d words per domain, every arm (restored to %d after)\n"
-    sweep_minor_heap_words prev_gc.Gc.minor_heap_size;
-  Printf.printf "  sweep seq   (%3d workloads): %8.2f s\n" nsample smed.(0);
-  Printf.printf "  sweep par=4 (%3d workloads): %8.2f s  (%.2fx)\n" nsample smed.(1)
-    (smed.(0) /. smed.(1));
-  json_note ~sec:"E-par" ~name:"sweep-minor-heap" ~unit:"words"
-    (float_of_int sweep_minor_heap_words);
-  json_note ~sec:"E-par" ~name:"sweep-seq" ~unit:"s" smed.(0);
-  json_note ~sec:"E-par" ~name:"sweep-par4" ~unit:"s" smed.(1);
-  hard_floor "parallel sweep verdicts differ from sequential"
-    (fingerprint sweep_stats.(0) = fingerprint sweep_stats.(1));
-  (* The exhaustive arm: every deduplicated bounded workload.  Skipped
-     under --quick (it is the single most expensive measurement in the
-     harness); on full runs the 0-diverging floor covers the whole
-     space, not a sample. *)
-  if !quick then Printf.printf "  exhaustive sweep skipped under --quick\n"
-  else
-    with_sweep_pool (fun pl ->
-        let t0 = Unix.gettimeofday () in
-        let full = CE.sweep_full ~cfg ~pool:pl () in
-        let wall = Unix.gettimeofday () -. t0 in
-        let diverging = List.length full.CE.s_diverging in
-        Printf.printf "  exhaustive  (%d workloads, %d points): %.1f s, %d diverging\n"
-          full.CE.s_workloads full.CE.s_points wall diverging;
-        let pstats = Pool.stats pl in
-        Printf.printf "  pool: %d chunks run, %d steals, %d parallel batches\n"
-          pstats.Pool.tasks_run pstats.Pool.steals pstats.Pool.batches;
-        json_note ~sec:"E-par" ~name:"full-sweep-workloads" ~unit:"count"
-          (float_of_int full.CE.s_workloads);
-        json_note ~sec:"E-par" ~name:"full-sweep-points" ~unit:"count"
-          (float_of_int full.CE.s_points);
-        json_note ~sec:"E-par" ~name:"full-sweep-wall" ~unit:"s" wall;
-        json_note ~sec:"E-par" ~name:"full-sweep-diverging" ~unit:"count" (float_of_int diverging);
-        json_note ~sec:"E-par" ~name:"pool4-steals" ~unit:"count" (float_of_int pstats.Pool.steals);
-        hard_floor
-          (Printf.sprintf "exhaustive sweep: %d diverging crash points" diverging)
-          (diverging = 0);
-        hard_floor
-          (Printf.sprintf "exhaustive sweep covered only %d workloads" full.CE.s_workloads)
-          (full.CE.s_workloads > 2000));
-  Gc.set prev_gc;
-  if !floor_violations <> [] then begin
-    List.iter (fun v -> Printf.eprintf "E-par: %s\n" v) (List.rev !floor_violations);
-    exit 1
-  end;
-  print_string
-    "\nExpected shape: the hot path pays an enqueue instead of a fold, the crash\n\
-     sweep's verdict set is the same at 1 and 4 domains, and the exhaustive\n\
-     bounded crash space has zero diverging points.  On hosts without >= 2\n\
-     recommended domains the enqueue floor is reported but not enforced\n\
-     (there is no second core for the fold domain).\n"
+     (diverging = 0), across the whole exhaustive bounded space on full runs.\n\
+     Only the seeded broken-barriers fixture diverges, and it shrinks to a\n\
+     reproducer of at most 3 ops.\n"
 
 let () =
   Printf.printf "RAE / Shadow Filesystems — benchmark harness\n";
@@ -2030,7 +1822,6 @@ let () =
   if want "e-srv" then e_srv ();
   if want "e-lint" then e_lint ();
   if want "e-crash" then e_crash ();
-  if want "e-par" then e_par ();
   Printf.printf "\nAll requested benches complete.\n";
   Option.iter
     (fun path ->

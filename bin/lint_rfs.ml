@@ -18,8 +18,7 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
-let run dirs baseline_path write_baseline update_baseline format json_out domain_report metrics
-    quiet =
+let run dirs baseline_path write_baseline update_baseline format json_out metrics quiet =
   let dirs = if dirs = [] then default_dirs () else dirs in
   let baseline, bad_lines =
     match baseline_path with Some p -> Lint.Baseline.load p | None -> ([], [])
@@ -35,13 +34,6 @@ let run dirs baseline_path write_baseline update_baseline format json_out domain
       exit 2
   | Ok result ->
       List.iter (Printf.eprintf "lint_rfs: skipped %s\n") result.Lint.Engine.skipped;
-      (match domain_report with
-      | None -> ()
-      | Some path ->
-          let json =
-            Rae_obs.Jsonx.to_string ~pretty:true (Lint.Domsafety.to_json result.Lint.Engine.domain)
-          in
-          if path = "-" then print_endline json else write_file path (json ^ "\n"));
       if regen then begin
         let path = Option.value baseline_path ~default:"lint.baseline" in
         let next = Lint.Baseline.of_findings result.Lint.Engine.kept in
@@ -126,15 +118,6 @@ let json_out =
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE" ~doc:"Write findings and stats as JSON ('-' for stdout).")
 
-let domain_report =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "domain-report" ] ~docv:"FILE"
-        ~doc:
-          "Write the domain-safety catalogue (every mutable cell reachable from the parallel \
-           regions, classified) as JSON ('-' for stdout).")
-
 let metrics =
   Arg.(value & flag & info [ "metrics" ] ~doc:"Print rae_obs metrics (Prometheus text) after the run.")
 
@@ -144,7 +127,7 @@ let cmd =
   Cmd.v
     (Cmd.info "lint_rfs" ~doc:"Static-analysis safety gate for the shadow/base split")
     Term.(
-      const run $ dirs $ baseline $ write_baseline $ update_baseline $ format $ json_out
-      $ domain_report $ metrics $ quiet)
+      const run $ dirs $ baseline $ write_baseline $ update_baseline $ format $ json_out $ metrics
+      $ quiet)
 
 let () = exit (Cmd.eval cmd)

@@ -8,12 +8,8 @@ type t = {
   block_size : int;
   latency : latency;
   clock : Rae_util.Vclock.t;
-  (* Atomics: the checkpoint's background fold domain reads the disk
-     while the owning domain writes it, so the op counters take
-     increments from two domains at once and must not drop any.  (The
-     crash sweep's domains each build their own disks.) *)
-  reads : int Atomic.t;
-  writes : int Atomic.t;
+  mutable reads : int;
+  mutable writes : int;
 }
 
 let create ?(latency = default_latency) ?clock ~block_size ~nblocks () =
@@ -24,8 +20,8 @@ let create ?(latency = default_latency) ?clock ~block_size ~nblocks () =
     block_size;
     latency;
     clock;
-    reads = Atomic.make 0;
-    writes = Atomic.make 0;
+    reads = 0;
+    writes = 0;
   }
 
 let block_size t = t.block_size
@@ -38,7 +34,7 @@ let check t blk what =
 
 let read t blk =
   check t blk "read";
-  Atomic.incr t.reads;
+  t.reads <- t.reads + 1;
   Rae_util.Vclock.advance t.clock t.latency.read_ns;
   Bytes.copy t.blocks.(blk)
 
@@ -47,23 +43,23 @@ let write t blk data =
   if Bytes.length data <> t.block_size then
     invalid_arg
       (Printf.sprintf "Disk.write: %d bytes to a %d-byte block" (Bytes.length data) t.block_size);
-  Atomic.incr t.writes;
+  t.writes <- t.writes + 1;
   Rae_util.Vclock.advance t.clock t.latency.write_ns;
   Bytes.blit data 0 t.blocks.(blk) 0 t.block_size
 
 let read_into t blk buf =
   check t blk "read_into";
   if Bytes.length buf <> t.block_size then invalid_arg "Disk.read_into: buffer size mismatch";
-  Atomic.incr t.reads;
+  t.reads <- t.reads + 1;
   Rae_util.Vclock.advance t.clock t.latency.read_ns;
   Bytes.blit t.blocks.(blk) 0 buf 0 t.block_size
 
-let reads t = Atomic.get t.reads
-let writes t = Atomic.get t.writes
+let reads t = t.reads
+let writes t = t.writes
 
 let reset_counters t =
-  Atomic.set t.reads 0;
-  Atomic.set t.writes 0
+  t.reads <- 0;
+  t.writes <- 0
 
 let snapshot t = Array.map Bytes.copy t.blocks
 

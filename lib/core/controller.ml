@@ -14,9 +14,7 @@ type policy = {
   ckpt_fold_interval : int;
   ckpt_fast_paths : bool;
   slow_op_ns : int;
-  par_domains : int;
-      (* > 1: move the checkpoint fold onto a background domain.  1
-         (default) keeps every path on the calling domain, bit-for-bit. *)
+  par_domains : int;  (* must be 1; see the interface *)
 }
 
 let default_policy =
@@ -95,6 +93,10 @@ type t = {
 }
 
 let make ?(policy = default_policy) ?tracer ?events ?bundle_dir ?(run_id = "") ~device base =
+  if policy.par_domains <> 1 then
+    invalid_arg
+      (Printf.sprintf "Controller.make: par_domains = %d; the controller runs on one domain"
+         policy.par_domains);
   let now =
     match tracer with
     | Some tr -> fun () -> Rae_obs.Tracer.now tr
@@ -106,18 +108,10 @@ let make ?(policy = default_policy) ?tracer ?events ?bundle_dir ?(run_id = "") ~
   | Some ev -> Rae_obs.Events.set_clock ev (fun () -> Int64.to_int (now ()))
   | None -> ());
   let ckpt =
-    if policy.ckpt_enabled then begin
-      let c =
-        Checkpoint.create ?tracer ?events ~fast_paths:policy.ckpt_fast_paths
-          ~shadow_checks:policy.shadow_checks ~fold_interval:policy.ckpt_fold_interval device
-      in
-      (* With par_domains > 1 the fold moves off the hot path entirely: the
-         record step enqueues, a dedicated domain folds.  The queue stays
-         shallow — each entry pins an oplog-suffix snapshot, and recovery's
-         seed phase must drain whatever is left. *)
-      if policy.par_domains > 1 then Checkpoint.start_async_fold c ~queue_cap:4;
-      Some c
-    end
+    if policy.ckpt_enabled then
+      Some
+        (Checkpoint.create ?tracer ?events ~fast_paths:policy.ckpt_fast_paths
+           ~shadow_checks:policy.shadow_checks ~fold_interval:policy.ckpt_fold_interval device)
     else None
   in
   let t =
@@ -203,7 +197,6 @@ let policy_json p =
       ("ckpt_fold_interval", J.Int p.ckpt_fold_interval);
       ("ckpt_fast_paths", J.Bool p.ckpt_fast_paths);
       ("slow_op_ns", J.Int p.slow_op_ns);
-      ("par_domains", J.Int p.par_domains);
     ]
 
 let report_json (r : Report.recovery) =
@@ -716,12 +709,6 @@ let reset_stats t =
   Rae_obs.Metrics.h_reset t.recovery_hist;
   List.iter (fun (_, h) -> Rae_obs.Metrics.h_reset h) t.ph_hists;
   match t.ckpt with Some c -> Checkpoint.reset_stats c | None -> ()
-
-(* Join the checkpoint's background fold domain (drained first — shutdown
-   doubles as a barrier).  Controllers without [par_domains > 1] have
-   nothing to join.  Call when retiring a controller; domains are a
-   bounded OS resource. *)
-let shutdown t = match t.ckpt with Some c -> Checkpoint.shutdown c | None -> ()
 
 let checkpoint_now t =
   match t.ckpt with

@@ -62,12 +62,10 @@ type policy = {
           earns a [Slow_op] event next to its [Op_done]
           (default 10ms) *)
   par_domains : int;
-      (** [> 1] moves the checkpoint fold onto one background domain:
-          the record step only enqueues, and recovery's seed phase awaits
-          the in-flight fold.  Every value above 1 does the same, and
-          without [ckpt_enabled] it does nothing.  Default 1: every path
-          runs on the calling domain, as the shipped [rfsd] configuration
-          does.  Retire a [> 1] controller with {!shutdown}. *)
+      (** Must be 1: the controller runs on the calling domain, and
+          {!make} raises [Invalid_argument] on any other value.  The field
+          remains only because the benchmark records it as provenance;
+          the next change to the benchmark removes it. *)
 }
 
 val default_policy : policy
@@ -162,14 +160,9 @@ val reset_stats : t -> unit
     before/after windows can be compared (parity with
     {!Rae_block.Blkmq.reset_stats} and the cache stats API): the op and
     recovery counters, the oplog totals, the end-to-end recovery and
-    per-phase latency histograms, and the checkpoint counters (including
-    the background-fold queue counters).  The recovery log itself — {!recoveries},
-    {!discrepancies} — is retained. *)
-
-val shutdown : t -> unit
-(** Drain and stop the checkpoint's background fold domain.  No-op for
-    [par_domains = 1] controllers.  Live domains are a bounded OS
-    resource — call this when retiring a [par_domains > 1] controller. *)
+    per-phase latency histograms, and the checkpoint counters.  The
+    recovery log itself — {!recoveries}, {!discrepancies} — is
+    retained. *)
 
 val checkpoint_now : t -> (unit, string) result
 (** Force a checkpoint cut.  Fails when checkpointing is disabled by
@@ -191,6 +184,5 @@ val phase_names : string list
 val register_obs : Rae_obs.Metrics.t -> t -> unit
 (** Register the whole stack's metrics: the controller's counters and
     recovery/phase latency histograms ([rae_*]), the checkpoint's
-    counters (including the [rae_par_fold_*] background-fold queue
-    family), plus everything {!Rae_basefs.Base.register_obs} registers for the
-    wrapped base. *)
+    counters, plus everything {!Rae_basefs.Base.register_obs} registers
+    for the wrapped base. *)

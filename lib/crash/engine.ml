@@ -53,13 +53,17 @@ let render_ops ops = Format.asprintf "%a" (Fmt.list ~sep:(Fmt.any "; ") pp_op) o
 
 (* ---- divergence bundles (PR 7 postmortem format, kind "crash") ---- *)
 
-let bundle_seq = Atomic.make 0 (* atomic: parallel sweeps emit bundles concurrently *)
+(* A bundle's [seq] (and so its file name) comes from the workload's
+   index in its sweep and the point's position in the workload's plan,
+   not from a process-wide counter: forked sweep workers would each
+   restart such a counter and overwrite each other's files. *)
+let points_per_workload = 1_000_000
 
-let emit_bundle cfg ~label (t : Recording.t) (o : Oracle.outcome) =
+let emit_bundle cfg ~index ~pos ~label (t : Recording.t) (o : Oracle.outcome) =
   match cfg.bundle_dir with
   | None -> ()
   | Some dir ->
-      let seq = Atomic.fetch_and_add bundle_seq 1 in
+      let seq = (index * points_per_workload) + pos in
       let reason =
         match o.Oracle.o_verdict with Oracle.Diverging r -> r | _ -> "not-diverging"
       in
@@ -119,7 +123,7 @@ let emit_bundle cfg ~label (t : Recording.t) (o : Oracle.outcome) =
 
 (* ---- sweeps ---- *)
 
-let sweep_recording ?(cfg = default_config) ?(from_event = 0) ~label (t : Recording.t) =
+let sweep_indexed ?(cfg = default_config) ?(from_event = 0) ~index ~label (t : Recording.t) =
   let points =
     Enumerate.plan ~prefix_stride:cfg.prefix_stride ~max_subset_bits:cfg.max_subset_bits
       ~samples_per_epoch:cfg.samples_per_epoch ~seed:cfg.seed ~from_event t
@@ -131,7 +135,8 @@ let sweep_recording ?(cfg = default_config) ?(from_event = 0) ~label (t : Record
       | Oracle.Consistent -> { acc with s_points = acc.s_points + 1; s_consistent = acc.s_consistent + 1 }
       | Oracle.Repaired -> { acc with s_points = acc.s_points + 1; s_repaired = acc.s_repaired + 1 }
       | Oracle.Diverging reason ->
-          emit_bundle cfg ~label t o;
+          (* [s_points] so far is this point's position in the plan. *)
+          emit_bundle cfg ~index ~pos:acc.s_points ~label t o;
           {
             acc with
             s_points = acc.s_points + 1;
@@ -141,51 +146,100 @@ let sweep_recording ?(cfg = default_config) ?(from_event = 0) ~label (t : Record
     { empty_stats with s_workloads = 1 }
     points
 
+let sweep_recording ?cfg ?from_event ~label t = sweep_indexed ?cfg ?from_event ~index:0 ~label t
+
 let sweep_ops ?cfg ?(barriers = true) ~label ops =
   sweep_recording ?cfg ~label (Recording.record ~barriers ops)
 
 (* Workloads are pairwise independent — each sweep records onto its own
    fresh image and judges each crash point against a fresh mount — so
-   the sweep parallelizes at workload granularity: one chunk per
-   workload, stolen freely across domains.  The merged stats fold in
-   workload order either way, so the result (divergence list included)
-   is identical to the sequential sweep's. *)
-let sweep_workloads ?cfg ?pool workloads =
-  match pool with
-  | Some p when Rae_par.Pool.size p > 1 ->
-      let outs =
-        Rae_par.Pool.map_array p ~chunk:1
-          (fun (label, ops) -> sweep_ops ?cfg ~label ops)
-          (Array.of_list workloads)
-      in
-      Array.fold_left merge empty_stats outs
-  | Some _ | None ->
-      List.fold_left
-        (fun acc (label, ops) -> merge acc (sweep_ops ?cfg ~label ops))
-        empty_stats workloads
+   the sweep splits at workload granularity across forked worker
+   processes.  Worker [w] sweeps workloads w, w + N, w + 2N, ... and
+   sends its (index, stats) list, or its exception text, over a pipe.
+   The parent merges in workload order, so the result (divergence list
+   included) is identical to the sequential sweep's.  Processes share no
+   heap, so the workers share no minor collection. *)
+let sweep_workloads ?cfg ?(workers = 1) ?(barriers = true) workloads =
+  let workloads = Array.of_list workloads in
+  let n = Array.length workloads in
+  let sweep_one i =
+    let label, ops = workloads.(i) in
+    sweep_indexed ?cfg ~index:i ~label (Recording.record ~barriers ops)
+  in
+  let workers = min workers n in
+  if workers <= 1 then Array.fold_left merge empty_stats (Array.init n sweep_one)
+  else begin
+    (* Buffered output would otherwise be flushed once more by every
+       child that inherits it. *)
+    flush stdout;
+    flush stderr;
+    let spawn w =
+      let rd, wr = Unix.pipe ~cloexec:true () in
+      match Unix.fork () with
+      | 0 ->
+          Unix.close rd;
+          let result : ((int * stats) list, string) result =
+            match
+              List.init ((n - w + workers - 1) / workers) (fun k ->
+                  let i = w + (k * workers) in
+                  (i, sweep_one i))
+            with
+            | r -> Ok r
+            | exception e -> Error (Printexc.to_string e)
+          in
+          (* A failed write shows up in the parent as a missing result;
+             the child itself must never return into the caller. *)
+          (match
+             let oc = Unix.out_channel_of_descr wr in
+             Marshal.to_channel oc result [];
+             close_out oc
+           with
+          | () | (exception Sys_error _) -> ());
+          Unix._exit 0
+      | pid ->
+          Unix.close wr;
+          (w, pid, rd)
+    in
+    let children = List.init workers spawn in
+    let results =
+      List.map
+        (fun (w, pid, rd) ->
+          let ic = Unix.in_channel_of_descr rd in
+          let r : ((int * stats) list, string) result =
+            match Marshal.from_channel ic with
+            | r -> r
+            | exception (End_of_file | Failure _) -> Error "exited without a result"
+          in
+          close_in ic;
+          ignore (Unix.waitpid [] pid);
+          Result.map_error (Printf.sprintf "crash sweep worker %d: %s" w) r)
+        children
+    in
+    let slots = Array.make n empty_stats in
+    List.iter
+      (function
+        | Ok l -> List.iter (fun (i, s) -> slots.(i) <- s) l
+        | Error msg -> failwith msg)
+      results;
+    Array.fold_left merge empty_stats slots
+  end
 
-let sweep_bounded ?cfg ?pool ~max_workloads () =
-  sweep_workloads ?cfg ?pool (Bounded.sample ~max:max_workloads)
+let sweep_bounded ?cfg ?workers ?barriers ~max_workloads () =
+  sweep_workloads ?cfg ?workers ?barriers (Bounded.sample ~max:max_workloads)
 
-let sweep_full ?cfg ?pool () =
-  sweep_workloads ?cfg ?pool
+let sweep_full ?cfg ?workers () =
+  sweep_workloads ?cfg ?workers
     (List.map (fun ops -> (Bounded.label ops, ops)) (Bounded.all ()))
 
 let sweep_targeted ?cfg ?(count = 40) ?(seeds = [ 1L; 2L ]) ?(profiles = [ Workload.Varmail; Workload.Metadata ]) () =
-  List.fold_left
-    (fun acc profile ->
-      List.fold_left
-        (fun acc seed ->
-          let rng = Rae_util.Rng.create seed in
-          let ops = Workload.ops profile rng ~count in
-          let label =
-            Printf.sprintf "%s:%Ld:%d" (Workload.profile_name profile) seed count
-          in
-          merge acc
-            (sweep_recording ?cfg ~label
-               (Recording.record ~nblocks:2048 ~ninodes:256 ~commit_interval:8 ops)))
-        acc seeds)
-    empty_stats profiles
+  List.concat_map (fun profile -> List.map (fun seed -> (profile, seed)) seeds) profiles
+  |> List.mapi (fun index (profile, seed) ->
+         let rng = Rae_util.Rng.create seed in
+         let ops = Workload.ops profile rng ~count in
+         let label = Printf.sprintf "%s:%Ld:%d" (Workload.profile_name profile) seed count in
+         sweep_indexed ?cfg ~index ~label
+           (Recording.record ~nblocks:2048 ~ninodes:256 ~commit_interval:8 ops))
+  |> List.fold_left merge empty_stats
 
 (* Crash during recovery / during the checkpoint-fold-seeded recovery:
    record through the controller with the armed panic, then enumerate

@@ -3,7 +3,11 @@
     Glues {!Recording}, {!Enumerate} and {!Oracle} into sweeps over
     bounded, targeted and crash-during-recovery workloads, and carries
     the operator workflows: postmortem bundles per divergence, replay of
-    a single crash point by key, and greedy workload minimization. *)
+    a single crash point by key, and greedy workload minimization.
+
+    A divergence bundle's sequence number is the workload's index in
+    its sweep times 1,000,000 plus the point's position in the
+    workload's plan, so bundle file names are deterministic. *)
 
 type config = {
   prefix_stride : int;  (** thin out prefix points by this stride *)
@@ -44,19 +48,20 @@ val sweep_ops :
     the device ignored flush barriers — the seeded-divergence fixture. *)
 
 val sweep_bounded :
-  ?cfg:config -> ?pool:Rae_par.Pool.t -> max_workloads:int -> unit -> stats
-(** Sweep a deterministic sample of the deduplicated seq-3 space.  With a
-    [pool] of size > 1 the workloads (each self-contained: fresh image,
-    fresh mounts per crash point) are dealt across domains and the per-
-    workload stats merged back in workload order, so the result —
-    including the divergence list — is identical to the sequential
-    sweep's. *)
+  ?cfg:config -> ?workers:int -> ?barriers:bool -> max_workloads:int -> unit -> stats
+(** Sweep a deterministic sample of the deduplicated seq-3 space.
+    [workers] (default 1) sweeps in-process; [N > 1] forks [N] worker
+    processes, each sweeping every N-th workload (each self-contained:
+    fresh image, fresh mounts per crash point), and merges their stats
+    back in workload order, so the result — including the divergence
+    list and the bundle files — is identical to the in-process sweep's.
+    A worker's exception is re-raised as [Failure] once every worker
+    has been reaped.  [barriers] is as for {!sweep_ops}. *)
 
-val sweep_full : ?cfg:config -> ?pool:Rae_par.Pool.t -> unit -> stats
+val sweep_full : ?cfg:config -> ?workers:int -> unit -> stats
 (** Sweep {e every} workload of the deduplicated bounded space
     ({!Bounded.all}, 2103 workloads at seq ≤ 3) — the exhaustive arm of
-    the crash study, practical only with a [pool].  Same determinism
-    contract as {!sweep_bounded}. *)
+    the crash study.  Same [workers] contract as {!sweep_bounded}. *)
 
 val sweep_targeted :
   ?cfg:config ->

@@ -8,9 +8,6 @@
      calls carrying a literal first argument, and record-field reads —
      the input to the path-sensitive typestate rules (persist-order,
      phase-order);
-   - mutable-state accesses: reads/writes of toplevel cells (refs,
-     Hashtbls, Buffers, ...) and of mutable record fields, keyed by the
-     enclosing definition — the input to the domain-safety pre-pass;
    - [@@@lint_exempt "scope"] / [@@lint_exempt "scope"] attributes,
      unit- and definition-level;
    - try/match-exception sites, with catch-all classification and the
@@ -23,8 +20,8 @@
    ([module Device = Rae_block.Device]) are substituted at the path head,
    and unqualified locals are prefixed with their unit name — so a local
    [phase] in [Rae_core.Controller] and the toplevel defs share the
-   "Unit.name" form.  Mutable record fields are named through their
-   record type: "Rae_obs.Events.t.clock". *)
+   "Unit.name" form.  Record fields are named through their record
+   type: "Rae_block.Device.t.dev_write". *)
 
 type loc = { l_file : string; l_line : int }
 
@@ -46,14 +43,6 @@ type ptree =
   | P_field of string * loc  (* read of record field "Type.field" *)
   | P_local of string * ptree  (* let-bound local function, deferred *)
 
-type access_kind = Acc_read | Acc_write
-
-type target =
-  | T_global of string  (* a named value; meaningful when it is a toplevel cell *)
-  | T_field of string  (* "Type.field" *)
-
-type access = { c_def : string; c_target : target; c_kind : access_kind; c_loc : loc }
-
 type def = {
   d_name : string;
   d_unit : string;
@@ -62,7 +51,6 @@ type def = {
   mutable d_raises : string list;
   mutable d_tree : ptree;
   mutable d_attrs : string list;  (* lint_exempt scopes on this binding *)
-  mutable d_cell : string option;  (* allocator kind when the def IS a mutable cell *)
 }
 
 type try_site = {
@@ -88,7 +76,6 @@ type unit_analysis = {
   a_defs : def list;
   a_tries : try_site list;
   a_idents : ident_hit list;
-  a_accesses : access list;
   a_attrs : string list;  (* unit-level lint_exempt scopes *)
 }
 
@@ -139,66 +126,6 @@ let lint_exempt_scopes attrs =
         Some (match attr_string a with Some s -> s | None -> "all")
       else None)
     attrs
-
-(* ---- stdlib mutators/readers of mutable containers ---- *)
-
-(* fn name -> argument index holding the mutated / read container.
-   [Stdlib.!] doubles as the unwrapping step for [!cell.(i) <- v]. *)
-let mutator_table =
-  [
-    ("Stdlib.:=", 0); ("Stdlib.incr", 0); ("Stdlib.decr", 0);
-    ("Stdlib.Hashtbl.replace", 0); ("Stdlib.Hashtbl.add", 0); ("Stdlib.Hashtbl.remove", 0);
-    ("Stdlib.Hashtbl.reset", 0); ("Stdlib.Hashtbl.clear", 0);
-    ("Stdlib.Hashtbl.filter_map_inplace", 1);
-    ("Stdlib.Buffer.add_char", 0); ("Stdlib.Buffer.add_string", 0);
-    ("Stdlib.Buffer.add_bytes", 0); ("Stdlib.Buffer.add_subbytes", 0);
-    ("Stdlib.Buffer.clear", 0); ("Stdlib.Buffer.reset", 0); ("Stdlib.Buffer.truncate", 0);
-    ("Stdlib.Queue.push", 1); ("Stdlib.Queue.add", 1); ("Stdlib.Queue.pop", 0);
-    ("Stdlib.Queue.take", 0); ("Stdlib.Queue.clear", 0); ("Stdlib.Queue.transfer", 0);
-    ("Stdlib.Array.set", 0); ("Stdlib.Array.unsafe_set", 0); ("Stdlib.Array.fill", 0);
-    ("Stdlib.Array.blit", 2); ("Stdlib.Array.sort", 1); ("Stdlib.Array.fast_sort", 1);
-    ("Stdlib.Bytes.set", 0); ("Stdlib.Bytes.unsafe_set", 0); ("Stdlib.Bytes.fill", 0);
-    ("Stdlib.Bytes.blit", 2); ("Stdlib.Bytes.blit_string", 2);
-    ("Stdlib.Atomic.set", 0); ("Stdlib.Atomic.exchange", 0);
-    ("Stdlib.Atomic.compare_and_set", 0); ("Stdlib.Atomic.fetch_and_add", 0);
-    ("Stdlib.Atomic.incr", 0); ("Stdlib.Atomic.decr", 0);
-  ]
-  [@@ocamlformat "disable"]
-
-let reader_table =
-  [
-    ("Stdlib.!", 0);
-    ("Stdlib.Hashtbl.find", 0); ("Stdlib.Hashtbl.find_opt", 0); ("Stdlib.Hashtbl.find_all", 0);
-    ("Stdlib.Hashtbl.mem", 0); ("Stdlib.Hashtbl.length", 0); ("Stdlib.Hashtbl.iter", 1);
-    ("Stdlib.Hashtbl.fold", 1); ("Stdlib.Hashtbl.copy", 0); ("Stdlib.Hashtbl.to_seq", 0);
-    ("Stdlib.Buffer.contents", 0); ("Stdlib.Buffer.length", 0); ("Stdlib.Buffer.to_bytes", 0);
-    ("Stdlib.Buffer.nth", 0); ("Stdlib.Buffer.sub", 0);
-    ("Stdlib.Queue.length", 0); ("Stdlib.Queue.peek", 0); ("Stdlib.Queue.peek_opt", 0);
-    ("Stdlib.Queue.is_empty", 0); ("Stdlib.Queue.iter", 1); ("Stdlib.Queue.fold", 2);
-    ("Stdlib.Array.get", 0); ("Stdlib.Array.unsafe_get", 0); ("Stdlib.Array.length", 0);
-    ("Stdlib.Array.iter", 1); ("Stdlib.Array.iteri", 1); ("Stdlib.Array.fold_left", 2);
-    ("Stdlib.Array.map", 1); ("Stdlib.Array.mapi", 1); ("Stdlib.Array.to_list", 0);
-    ("Stdlib.Array.sub", 0); ("Stdlib.Array.copy", 0); ("Stdlib.Array.exists", 1);
-    ("Stdlib.Array.mem", 1); ("Stdlib.Array.memq", 1);
-    ("Stdlib.Bytes.get", 0); ("Stdlib.Bytes.unsafe_get", 0); ("Stdlib.Bytes.length", 0);
-    ("Stdlib.Bytes.sub", 0); ("Stdlib.Bytes.copy", 0); ("Stdlib.Bytes.to_string", 0);
-    ("Stdlib.Atomic.get", 0);
-  ]
-  [@@ocamlformat "disable"]
-
-let allocator_kind (e : Typedtree.expression) =
-  match e.Typedtree.exp_desc with
-  | Typedtree.Texp_apply ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, _) -> (
-      match Path.name p with
-      | "Stdlib.ref" -> Some "ref"
-      | "Stdlib.Hashtbl.create" -> Some "hashtbl"
-      | "Stdlib.Buffer.create" -> Some "buffer"
-      | "Stdlib.Queue.create" -> Some "queue"
-      | "Stdlib.Atomic.make" -> Some "atomic"
-      | "Stdlib.Array.make" | "Stdlib.Array.init" | "Stdlib.Array.create_float" -> Some "array"
-      | "Stdlib.Bytes.create" | "Stdlib.Bytes.make" -> Some "bytes"
-      | _ -> None)
-  | _ -> None
 
 (* ---- pattern helpers ---- *)
 
@@ -269,7 +196,6 @@ let analyze_unit ~unit ~source (str : Typedtree.structure) =
   let def_order = ref [] in
   let tries = ref [] in
   let idents = ref [] in
-  let accesses = ref [] in
   let unit_attrs = ref [] in
   let get_def name loc =
     match Hashtbl.find_opt defs name with
@@ -284,7 +210,6 @@ let analyze_unit ~unit ~source (str : Typedtree.structure) =
             d_raises = [];
             d_tree = P_seq [];
             d_attrs = [];
-            d_cell = None;
           }
         in
         Hashtbl.replace defs name d;
@@ -330,21 +255,6 @@ let analyze_unit ~unit ~source (str : Typedtree.structure) =
     let new_refs = take (List.length d.d_refs - n_refs) d.d_refs in
     let new_raises = take (List.length d.d_raises - n_raises) d.d_raises in
     (new_refs, new_raises)
-  in
-  let record_access target kind loc =
-    accesses := { c_def = !current.d_name; c_target = target; c_kind = kind; c_loc = loc } :: !accesses
-  in
-  (* The container argument of a mutator/reader call, unwrapped through
-     [!cell] so [!names.(i) <- s] targets [names]. *)
-  let rec target_of (e : Typedtree.expression) =
-    match e.Typedtree.exp_desc with
-    | Typedtree.Texp_ident (p, _, _) -> Some (T_global (resolve_path ~aliases ~unit p))
-    | Typedtree.Texp_field (_, _, lbl) ->
-        Option.map (fun f -> T_field f) (field_name ~aliases ~unit lbl)
-    | Typedtree.Texp_apply ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, [ (_, Some arg) ])
-      when String.equal (Path.name p) "Stdlib.!" ->
-        target_of arg
-    | _ -> None
   in
   let record_try ~loc ~body_loc ~body_refs ~body_raises ~catchall ~notfound =
     tries :=
@@ -413,35 +323,12 @@ let analyze_unit ~unit ~source (str : Typedtree.structure) =
           ->
             emit (P_lit (fn, s, loc))
         | _ -> ());
-        List.iter (fun (_, a) -> Option.iter (sub.Tast_iterator.expr sub) a) args;
-        (* Mutable-container access through a known stdlib entry point. *)
-        let arg_at i = match List.nth_opt args i with Some (_, a) -> a | None -> None in
-        (match fname with
-        | Some fn -> (
-            let record table kind =
-              match List.assoc_opt fn table with
-              | Some i -> (
-                  match Option.bind (arg_at i) target_of with
-                  | Some t -> record_access t kind loc
-                  | None -> ())
-              | None -> ()
-            in
-            record mutator_table Acc_write;
-            record reader_table Acc_read)
-        | None -> ())
+        List.iter (fun (_, a) -> Option.iter (sub.Tast_iterator.expr sub) a) args
     | Typedtree.Texp_field (r, _, lbl) ->
         sub.Tast_iterator.expr sub r;
         let loc = loc_of e.Typedtree.exp_loc in
         (match field_name ~aliases ~unit lbl with
-        | Some f ->
-            emit (P_field (f, loc));
-            if lbl.Types.lbl_mut = Asttypes.Mutable then record_access (T_field f) Acc_read loc
-        | None -> ())
-    | Typedtree.Texp_setfield (r, _, lbl, v) ->
-        sub.Tast_iterator.expr sub r;
-        sub.Tast_iterator.expr sub v;
-        (match field_name ~aliases ~unit lbl with
-        | Some f -> record_access (T_field f) Acc_write (loc_of e.Typedtree.exp_loc)
+        | Some f -> emit (P_field (f, loc))
         | None -> ())
     | Typedtree.Texp_let (_, vbs, body) ->
         List.iter
@@ -534,10 +421,6 @@ let analyze_unit ~unit ~source (str : Typedtree.structure) =
               match pattern_bound_var vb.Typedtree.vb_pat with Some v -> v | None -> "%init"
             in
             let d = get_def (unit ^ "." ^ name) loc in
-            if name <> "%init" then
-              (match allocator_kind vb.Typedtree.vb_expr with
-              | Some kind -> d.d_cell <- Some kind
-              | None -> ());
             with_def d vb.Typedtree.vb_attributes (fun () ->
                 sub.Tast_iterator.expr sub vb.Typedtree.vb_expr))
           vbs
@@ -561,7 +444,6 @@ let analyze_unit ~unit ~source (str : Typedtree.structure) =
     a_defs = List.rev !def_order;
     a_tries = List.rev !tries;
     a_idents = List.rev !idents;
-    a_accesses = List.rev !accesses;
     a_attrs = !unit_attrs;
   }
 
@@ -583,7 +465,6 @@ let build_graph analyses =
               existing.d_refs <- d.d_refs @ existing.d_refs;
               existing.d_raises <- d.d_raises @ existing.d_raises;
               existing.d_attrs <- d.d_attrs @ existing.d_attrs;
-              (if existing.d_cell = None then existing.d_cell <- d.d_cell);
               existing.d_tree <- P_seq [ existing.d_tree; d.d_tree ])
         a.a_defs)
     analyses;

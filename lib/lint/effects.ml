@@ -9,9 +9,6 @@
      bypass-flush   same for flush
      journal-append opens/appends a journal transaction
      journal-commit makes a transaction durable
-     shadow-mutate  writes a mutable field of shadow/spec state
-     global-mutate  writes a toplevel mutable cell or a mutable record
-                    field
      may-raise      the extension constructors the def can raise,
                     transitively
 
@@ -32,11 +29,9 @@ let b_bypass_write = 4
 let b_bypass_flush = 8
 let b_j_append = 16
 let b_j_commit = 32
-let b_shadow_mut = 64
-let b_global_mut = 128
 
 (* Callee-propagated subset (bypass stays home). *)
-let propagated = b_raw_write lor b_raw_flush lor b_j_append lor b_j_commit lor b_shadow_mut lor b_global_mut
+let propagated = b_raw_write lor b_raw_flush lor b_j_append lor b_j_commit
 
 let effect_names bits =
   List.filter_map
@@ -45,7 +40,6 @@ let effect_names bits =
       (b_raw_write, "raw-write"); (b_raw_flush, "raw-flush");
       (b_bypass_write, "bypass-write"); (b_bypass_flush, "bypass-flush");
       (b_j_append, "journal-append"); (b_j_commit, "journal-commit");
-      (b_shadow_mut, "shadow-mutate"); (b_global_mut, "global-mutate");
     ]
   [@@ocamlformat "disable"]
 
@@ -108,21 +102,6 @@ let infer (cfg : Lintcfg.t) (analyses : Analysis.unit_analysis list) (graph : An
         Hashtbl.replace summaries name s;
         s
   in
-  (* Per-def write accesses drive the mutate bits. *)
-  let shadow_write (tgt : Analysis.target) =
-    match tgt with
-    | Analysis.T_field f ->
-        List.exists (fun p -> String.starts_with ~prefix:p f) cfg.Lintcfg.shadow_state_types
-    | Analysis.T_global _ -> false
-  in
-  let global_write (tgt : Analysis.target) =
-    match tgt with
-    | Analysis.T_field _ -> true
-    | Analysis.T_global g -> (
-        match Hashtbl.find_opt graph.Analysis.nodes g with
-        | Some d -> d.Analysis.d_cell <> None
-        | None -> false)
-  in
   (* Direct (intra-def) effects. *)
   Hashtbl.iter
     (fun name (d : Analysis.def) ->
@@ -161,17 +140,6 @@ let infer (cfg : Lintcfg.t) (analyses : Analysis.unit_analysis list) (graph : An
         d.Analysis.d_tree;
       s.raises <- S.union s.raises (S.of_list d.Analysis.d_raises))
     graph.Analysis.nodes;
-  List.iter
-    (fun (a : Analysis.unit_analysis) ->
-      List.iter
-        (fun (c : Analysis.access) ->
-          if c.Analysis.c_kind = Analysis.Acc_write then begin
-            let s = get c.Analysis.c_def in
-            if shadow_write c.Analysis.c_target then s.bits <- s.bits lor b_shadow_mut;
-            if global_write c.Analysis.c_target then s.bits <- s.bits lor b_global_mut
-          end)
-        a.Analysis.a_accesses)
-    analyses;
   (* Reverse edges: callee def -> calling defs. *)
   let callers : (string, string list) Hashtbl.t = Hashtbl.create 1024 in
   Hashtbl.iter

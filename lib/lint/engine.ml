@@ -20,7 +20,6 @@ type result = {
   hidden : Finding.t list;  (* suppressed by the baseline *)
   unused : Baseline.entry list;
   skipped : string list;  (* unreadable cmt files *)
-  domain : Domsafety.region_report list;  (* full domain-safety catalogue *)
   stats : stats;
 }
 
@@ -43,8 +42,7 @@ let run ?(config = Lintcfg.default) ?(baseline = Baseline.empty) ~dirs () =
     in
     let graph = Analysis.build_graph analyses in
     let eff = Effects.infer config analyses graph in
-    let domain = Domsafety.analyze config analyses graph in
-    let findings = Rules.run config load.Cmt_load.units analyses graph eff domain in
+    let findings = Rules.run config load.Cmt_load.units analyses graph eff in
     let kept, hidden, unused = Baseline.apply baseline findings in
     let kept = List.sort Finding.compare_by_pos kept in
     let by_rule =
@@ -59,7 +57,6 @@ let run ?(config = Lintcfg.default) ?(baseline = Baseline.empty) ~dirs () =
         hidden;
         unused;
         skipped = load.Cmt_load.skipped;
-        domain;
         stats =
           {
             files_scanned = load.Cmt_load.files;

@@ -17,8 +17,10 @@
                         journal transaction and destage only after the
                         commit; mid-transaction flushes reorder the
                         barrier (Order.persist).
-   4. domain-safety   — unguarded mutable cells written by code on the
-                        planned parallel regions (Domsafety).
+   4. no-domain-spawn — no Domain.spawn anywhere in the scanned tree:
+                        the system runs on one domain, and a second
+                        one must not return without a checker for the
+                        state it would share.
    5. phase-order     — the recovery phases must be entered in the
                         declared order on every path, including the
                         seeded fallback (Order.phases).
@@ -33,7 +35,7 @@
 let rule_purity = "shadow-purity"
 let rule_swallow = "no-swallow"
 let rule_persist = Order.persist_rule_name
-let rule_domain = Domsafety.rule_name
+let rule_domain = "no-domain-spawn"
 let rule_phase = Order.phase_rule_name
 let rule_layering = "layering"
 let rule_polycmp = "poly-compare"
@@ -144,6 +146,25 @@ let swallow (cfg : Lintcfg.t) analyses (eff : Effects.t) =
     analyses;
   List.rev !findings
 
+(* ---- 4. no second domain ---- *)
+
+let domain_spawn = "Stdlib.Domain.spawn"
+
+let no_domain_spawn analyses =
+  List.concat_map
+    (fun (a : Analysis.unit_analysis) ->
+      List.filter_map
+        (fun (h : Analysis.ident_hit) ->
+          if String.equal h.Analysis.h_path domain_spawn then
+            Some
+              (finding ~rule:rule_domain ~file:h.Analysis.h_loc.Analysis.l_file
+                 ~line:h.Analysis.h_loc.Analysis.l_line ~key:domain_spawn
+                 "Domain.spawn: the system runs on one domain; parallel work runs in forked \
+                  processes, which share no heap")
+          else None)
+        a.Analysis.a_idents)
+    analyses
+
 (* ---- 6. layering ---- *)
 
 let layering (cfg : Lintcfg.t) (units : Cmt_load.unit_info list) =
@@ -248,12 +269,11 @@ let partial (cfg : Lintcfg.t) analyses =
     analyses;
   List.rev !findings
 
-let run (cfg : Lintcfg.t) (units : Cmt_load.unit_info list) analyses graph (eff : Effects.t)
-    (domain : Domsafety.region_report list) =
+let run (cfg : Lintcfg.t) (units : Cmt_load.unit_info list) analyses graph (eff : Effects.t) =
   purity cfg analyses eff
   @ swallow cfg analyses eff
   @ Order.persist cfg eff graph
-  @ Domsafety.findings domain
+  @ no_domain_spawn analyses
   @ Order.phases cfg eff graph
   @ layering cfg units
   @ polycmp cfg analyses

@@ -69,7 +69,7 @@ type t = {
   e_s1 : string array;
   e_s2 : string array;
   mutable clock : unit -> int;  (* nanoseconds *)
-  total : int Atomic.t;  (* events ever recorded; head = total land mask *)
+  mutable total : int;  (* events ever recorded; head = total land mask *)
 }
 
 let default_clock () = Int64.to_int (Rae_util.Monoclock.now_ns ())
@@ -89,24 +89,21 @@ let create ?(capacity = 1024) ?(clock = default_clock) () =
     e_s1 = Array.make cap "";
     e_s2 = Array.make cap "";
     clock;
-    total = Atomic.make 0;
+    total = 0;
   }
 
 let set_clock t clock = t.clock <- clock
 let capacity t = t.mask + 1
-let total t = Atomic.get t.total
+let total t = t.total
 let retained t = min (total t) (t.mask + 1)
 let dropped t = total t - retained t
-let clear t = Atomic.set t.total 0
+let clear t = t.total <- 0
 
 (* The single write path: every record_* fills one slot completely so no
-   field carries a stale value from an overwritten event.  The slot
-   index comes from an atomic fetch-and-add, so concurrent recorders
-   claim disjoint slots (the per-slot stores need no further ordering —
-   a reader racing the writer of a live slot sees a torn event at worst,
-   which the bounded [tail] views tolerate by construction). *)
+   field carries a stale value from an overwritten event. *)
 let[@inline] put t kind a b c d s1 s2 =
-  let i = Atomic.fetch_and_add t.total 1 land t.mask in
+  let i = t.total land t.mask in
+  t.total <- t.total + 1;
   t.e_kind.(i) <- kind;
   t.e_ts.(i) <- t.clock ();
   t.e_a.(i) <- a;

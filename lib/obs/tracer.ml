@@ -15,12 +15,6 @@ type t = {
      toggles — a span opened while disabled must not emit an E on close. *)
   mutable stack : (string * bool) list;
   mutable last_ts : int64;
-  lock : Mutex.t;
-      (* serializes every public mutator (and export, which touches the
-         monotone clock cache): tracers are shared across the controller
-         and the subsystems it drives, which the domain-safety lint
-         wants runnable on separate domains.  [now]/[push] are internal
-         and only ever run under the lock. *)
 }
 
 let default_clock = Rae_util.Monoclock.now_ns
@@ -36,13 +30,11 @@ let create ?(clock = default_clock) ?(max_events = 0) () =
     s_dropped = 0;
     stack = [];
     last_ts = 0L;
-    lock = Mutex.create ();
   }
 
-let locked t f = Mutex.protect t.lock f
-let set_clock t clock = locked t (fun () -> t.clock <- clock)
-let enable t = locked t (fun () -> t.on <- true)
-let disable t = locked t (fun () -> t.on <- false)
+let set_clock t clock = t.clock <- clock
+let enable t = t.on <- true
+let disable t = t.on <- false
 let enabled t = t.on
 
 (* Timestamps are clamped monotone: combined virtual+CPU clocks can wobble
@@ -79,43 +71,38 @@ let push t ev =
   end
 
 let span_begin t ?(cat = "rae") name =
-  locked t (fun () ->
-      if t.on then begin
-        push t (Begin { name; cat; ts = now t });
-        t.stack <- (name, true) :: t.stack
-      end
-      else t.stack <- (name, false) :: t.stack)
+  if t.on then begin
+    push t (Begin { name; cat; ts = now t });
+    t.stack <- (name, true) :: t.stack
+  end
+  else t.stack <- (name, false) :: t.stack
 
 let span_end t =
-  locked t (fun () ->
-      match t.stack with
-      | [] -> ()
-      | (name, recorded) :: rest ->
-          t.stack <- rest;
-          if recorded then push t (End { name; ts = now t }))
+  match t.stack with
+  | [] -> ()
+  | (name, recorded) :: rest ->
+      t.stack <- rest;
+      if recorded then push t (End { name; ts = now t })
 
 let with_span t ?cat name f =
   span_begin t ?cat name;
   Fun.protect ~finally:(fun () -> span_end t) f
 
-let instant t ?(cat = "rae") name =
-  locked t (fun () -> if t.on then push t (Instant { name; cat; ts = now t }))
-
-let depth t = locked t (fun () -> List.length t.stack)
+let instant t ?(cat = "rae") name = if t.on then push t (Instant { name; cat; ts = now t })
+let depth t = List.length t.stack
 
 let nth_event t i =
   let cap = Array.length t.buf in
   t.buf.((t.start + i) mod cap)
 
-let events t = locked t (fun () -> List.init t.len (fun i -> nth_event t i))
+let events t = List.init t.len (fun i -> nth_event t i)
 let dropped t = t.s_dropped
 
 let clear t =
-  locked t (fun () ->
-      t.buf <- [||];
-      t.len <- 0;
-      t.start <- 0;
-      t.s_dropped <- 0)
+  t.buf <- [||];
+  t.len <- 0;
+  t.start <- 0;
+  t.s_dropped <- 0
 
 (* ---- Chrome trace_event export ---- *)
 
@@ -140,7 +127,6 @@ let event_line ~ph ~name ~cat ~ts =
     (if ph = 'i' then ",\"s\":\"t\"" else "")
 
 let to_chrome t =
-  locked t @@ fun () ->
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"traceEvents\":[\n";
   let first = ref true in

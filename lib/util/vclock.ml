@@ -1,22 +1,13 @@
-(* The clock is advanced from every domain that touches its disk: the
-   checkpoint's background fold domain reads the device while the owning
-   domain writes it.  So the counter is an atomic and [advance] is a CAS
-   loop rather than a read-modify-write.  (The crash sweep's domains each
-   build their own disks and clocks.) *)
-type t = { ns : int64 Atomic.t }
+type t = { mutable ns : int64 }
 
-let create () = { ns = Atomic.make 0L }
-let now t = Atomic.get t.ns
+let create () = { ns = 0L }
+let now t = t.ns
 
 let advance t delta =
   if Int64.compare delta 0L < 0 then invalid_arg "Vclock.advance: negative delta";
-  let rec loop () =
-    let cur = Atomic.get t.ns in
-    if not (Atomic.compare_and_set t.ns cur (Int64.add cur delta)) then loop ()
-  in
-  loop ()
+  t.ns <- Int64.add t.ns delta
 
-let reset t = Atomic.set t.ns 0L
+let reset t = t.ns <- 0L
 
 let pp_duration ppf ns =
   let f = Int64.to_float ns in

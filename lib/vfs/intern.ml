@@ -1,19 +1,11 @@
 (* Append-only global symbol table.  [ids] maps string -> id; [names] is
-   the inverse, a growable array indexed by id.  Ids are dense from 0.
+   the inverse, a growable array indexed by id.  Ids are dense from 0. *)
 
-   The table is process-global shared mutable state: every shadow (and a
-   parallel constrained replay would mean several at once) interns path
-   components through it, so the whole lookup-or-insert step runs under
-   one mutex.  The fast path is a single Hashtbl probe; contention is
-   not a concern at the call rates involved. *)
-
-let lock = Mutex.create ()
 let ids : (string, int) Hashtbl.t = Hashtbl.create 256
 let names : string array ref = ref (Array.make 256 "")
 let next = ref 0
 
 let id s =
-  Mutex.protect lock @@ fun () ->
   match Hashtbl.find_opt ids s with
   | Some i -> i
   | None ->
@@ -29,12 +21,11 @@ let id s =
       Hashtbl.replace ids s i;
       i
 
-let find s = Mutex.protect lock (fun () -> Hashtbl.find_opt ids s)
+let find s = Hashtbl.find_opt ids s
 
 let name i =
-  Mutex.protect lock @@ fun () ->
   if i < 0 || i >= !next then
     invalid_arg (Printf.sprintf "Intern.name: unknown symbol id %d" i)
   else !names.(i)
 
-let count () = Mutex.protect lock (fun () -> !next)
+let count () = !next

@@ -55,8 +55,11 @@ val kind_to_string : op_kind -> string
 val all_kinds : op_kind list
 
 val is_mutation : t -> bool
-(** Does the operation (when successful) change filesystem state?  Reads,
-    lookups and stats are not recorded by the oplog. *)
+(** Does the operation (when successful) change filesystem state?  This
+    does not decide what the oplog records: the oplog records every
+    uncommitted operation, reads, lookups and stats included, so that
+    replay can cross-check the results the application already saw
+    (paper §4.3). *)
 
 val is_sync : t -> bool
 (** [Fsync]/[Sync] — the operations a shadow never executes (paper §3.3:

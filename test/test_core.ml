@@ -402,8 +402,8 @@ let test_checkpoint_refuses_uncommitted_window () =
   | Some s -> Alcotest.(check bool) "cuts counted" true (s.Rae_core.Checkpoint.cuts >= 2)
 
 let test_seeded_recovery_replays_only_delta () =
-  (* Long uncommitted window, folded in the background: recovery must seed
-     from the warm shadow and replay only the unfolded suffix. *)
+  (* Long uncommitted window, folded as it grows: recovery must seed from
+     the warm shadow and replay only the unfolded suffix. *)
   let _disk, _dev, ctl =
     mk ~policy:ckpt_policy
       ~config:{ Base.default_config with Base.commit_interval = max_int }
@@ -431,7 +431,7 @@ let test_seeded_recovery_replays_only_delta () =
   | None -> Alcotest.fail "checkpoint stats missing"
   | Some s ->
       Alcotest.(check int) "seeded once" 1 s.Rae_core.Checkpoint.seeded;
-      Alcotest.(check bool) "background folds happened" true (s.Rae_core.Checkpoint.folds >= 1);
+      Alcotest.(check bool) "folds happened" true (s.Rae_core.Checkpoint.folds >= 1);
       Alcotest.(check int) "no cold fallback" 0 s.Rae_core.Checkpoint.fallbacks);
   (* The recovered state is complete: every file, including the one that
      triggered the panic, is visible on a working filesystem. *)
@@ -441,6 +441,67 @@ let test_seeded_recovery_replays_only_delta () =
   done;
   Alcotest.(check bool) "panic op's file visible" true
     (Result.is_ok (Controller.lookup ctl (p "/pwn")))
+
+(* The cache-invalidation adversary (stale resolutions, dirent-index
+   entries, symlink targets) interleaved with panics: every namespace
+   mutation that could leave a warm-shadow fast-path cache stale, each
+   followed by the lookup that would expose it, with seeded recoveries in
+   between.  The "pwn" components trigger crafted-name-panic.  It runs
+   under the shipped rfsd policy, and with folds every 8 ops so that the
+   warm shadow's caches are filled by folds before each recovery. *)
+let adversary_ops =
+  [
+    Op.Mkdir (p "/a", 0o755);
+    Op.Mkdir (p "/a/b", 0o755);
+    Op.Create (p "/a/b/f", 0o644);
+    Op.Lookup (p "/a/b/f");
+    Op.Stat (p "/a/b");
+    Op.Create (p "/pwn", 0o644) (* panic #1: recovery seeds mid-warm *);
+    Op.Rename (p "/a/b", p "/a/c");
+    Op.Lookup (p "/a/b/f") (* must miss: resolution moved *);
+    Op.Lookup (p "/a/c/f");
+    Op.Unlink (p "/a/c/f");
+    Op.Lookup (p "/a/c/f") (* must miss: unlinked *);
+    Op.Mkdir (p "/a/c/f", 0o755) (* same name, different kind *);
+    Op.Stat (p "/a/c/f");
+    Op.Unlink (p "/a/c/pwn") (* panic #2 (ENOENT path still trips the trigger) *);
+    Op.Rmdir (p "/a/c/f");
+    Op.Readdir (p "/a/c/f") (* must miss: removed *);
+    Op.Readdir (p "/a/c");
+    Op.Symlink ("/a/c", p "/ln");
+    Op.Stat (p "/ln");
+    Op.Unlink (p "/ln");
+    Op.Symlink ("/nowhere", p "/ln");
+    Op.Stat (p "/ln") (* must ENOENT through the replaced link *);
+    Op.Create (p "/a/c/g", 0o644);
+    Op.Lookup (p "/a/c/g");
+  ]
+
+let test_invalidation_adversary () =
+  let rfsd_policy = { Controller.default_policy with Controller.ckpt_enabled = true } in
+  List.iter
+    (fun (name, policy, folds) ->
+      let _disk, _dev, ctl =
+        mk ~policy
+          ~config:{ Base.default_config with Base.commit_interval = 16 }
+          ~bugs:(arm [ "crafted-name-panic" ])
+          ()
+      in
+      assert_matches_spec ~expect_recoveries:true ctl adversary_ops;
+      match Controller.checkpoint_stats ctl with
+      | Some s ->
+          Alcotest.(check int) (name ^ ": every recovery seeded")
+            (Controller.stats ctl).Controller.recoveries s.Rae_core.Checkpoint.seeded;
+          Alcotest.(check int) (name ^ ": no cold fallback") 0 s.Rae_core.Checkpoint.fallbacks;
+          if folds then
+            Alcotest.(check bool) (name ^ ": folds happened") true (s.Rae_core.Checkpoint.folds >= 1)
+      | None -> Alcotest.fail "checkpoint stats missing")
+    [ ("rfsd", rfsd_policy, false); ("fold every 8", ckpt_policy, true) ]
+
+let test_par_domains_must_be_one () =
+  match mk ~policy:{ Controller.default_policy with Controller.par_domains = 2 } () with
+  | _ -> Alcotest.fail "par_domains = 2 accepted"
+  | exception Invalid_argument _ -> ()
 
 (* The PR's centerpiece property: replay-from-checkpoint is indistinguishable
    from replay-from-S0, for arbitrary op sequences and arbitrary cut points.
@@ -687,6 +748,10 @@ let () =
             test_checkpoint_refuses_uncommitted_window;
           Alcotest.test_case "seeded recovery replays only the delta" `Quick
             test_seeded_recovery_replays_only_delta;
+          Alcotest.test_case "invalidation adversary, rfsd policy" `Quick
+            test_invalidation_adversary;
+          Alcotest.test_case "par_domains other than 1 rejected" `Quick
+            test_par_domains_must_be_one;
           q prop_checkpoint_replay_equivalence;
           q prop_checkpoint_controller_equivalence;
         ] );

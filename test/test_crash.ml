@@ -4,8 +4,9 @@
    workload generation/dedup, sweeps over bounded and targeted workloads
    (0 diverging), crash-during-recovery and crash-during-checkpoint-fold
    sweeps, the seeded-divergence fixture (a device that ignores flush
-   barriers MUST be caught), greedy minimization, key replay, and the
-   postmortem bundles written for diverging images. *)
+   barriers MUST be caught), greedy minimization, key replay, the
+   postmortem bundles written for diverging images, and sweeps split
+   across forked workers (same verdicts, same bundle files). *)
 
 module Crashsim = Rae_block.Crashsim
 module Recording = Rae_crash.Recording
@@ -157,25 +158,83 @@ let test_oracle_verdict_on_clean_point () =
 
 (* ---- postmortem bundles ---- *)
 
-let test_divergence_bundles () =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "rae_crash_bundles" in
+(* A fresh, empty bundle directory under the temp dir. *)
+let bundle_dir name =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) name in
   (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
   Array.iter
     (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (Sys.readdir dir);
-  let cfg = { Engine.default_config with Engine.bundle_dir = Some dir } in
-  let stats = Engine.sweep_ops ~cfg ~barriers:false ~label:"fixture" fixture_ops in
-  let n_div = List.length stats.Engine.s_diverging in
-  Alcotest.(check bool) "fixture diverged" true (n_div > 0);
+  dir
+
+let check_bundles dir =
   let bundles = Sys.readdir dir |> Array.to_list |> List.sort compare in
-  Alcotest.(check int) "one bundle per divergence" n_div (List.length bundles);
   List.iter
     (fun f ->
       match Blackbox.check_file (Filename.concat dir f) with
       | Ok summary ->
           Alcotest.(check string) "crash kind" "crash" summary.Blackbox.s_kind
       | Error errs -> Alcotest.failf "%s: %s" f (String.concat "; " errs))
-    bundles
+    bundles;
+  bundles
+
+let test_divergence_bundles () =
+  let dir = bundle_dir "rae_crash_bundles" in
+  let cfg = { Engine.default_config with Engine.bundle_dir = Some dir } in
+  let stats = Engine.sweep_ops ~cfg ~barriers:false ~label:"fixture" fixture_ops in
+  let n_div = List.length stats.Engine.s_diverging in
+  Alcotest.(check bool) "fixture diverged" true (n_div > 0);
+  Alcotest.(check int) "one bundle per divergence" n_div (List.length (check_bundles dir))
+
+(* ---- forked sweep workers ---- *)
+
+let fingerprint (s : Engine.stats) =
+  ( s.Engine.s_workloads,
+    s.Engine.s_points,
+    s.Engine.s_consistent,
+    s.Engine.s_repaired,
+    List.map (fun d -> (d.Engine.d_label, d.Engine.d_key, d.Engine.d_reason)) s.Engine.s_diverging
+  )
+
+let test_verdicts_equal_across_workers () =
+  let one = Engine.sweep_bounded ~max_workloads:40 () in
+  let two = Engine.sweep_bounded ~workers:2 ~max_workloads:40 () in
+  Alcotest.(check int) "workloads swept" 40 one.Engine.s_workloads;
+  Alcotest.(check bool) "points enumerated" true (one.Engine.s_points > 0);
+  Alcotest.(check bool) "verdicts equal, in workload order" true
+    (fingerprint one = fingerprint two);
+  check_no_divergence "bounded, 2 workers" two
+
+(* Bundle names come from the workload index and the point's position,
+   so forked workers write exactly the files the in-process sweep does. *)
+let test_bundles_equal_across_workers () =
+  let sweep workers =
+    let dir = bundle_dir (Printf.sprintf "rae_crash_bundles_w%d" workers) in
+    let cfg = { Engine.default_config with Engine.bundle_dir = Some dir } in
+    let stats = Engine.sweep_bounded ~cfg ~workers ~barriers:false ~max_workloads:10 () in
+    let bundles = check_bundles dir in
+    Alcotest.(check int)
+      (Printf.sprintf "one bundle per divergence (%d workers)" workers)
+      (List.length stats.Engine.s_diverging)
+      (List.length bundles);
+    let read f = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+    (fingerprint stats, List.map (fun f -> (f, read f)) bundles)
+  in
+  let stats1, one = sweep 1 and stats2, two = sweep 2 in
+  Alcotest.(check bool) "barrier-ignoring sweep diverged" true (one <> []);
+  Alcotest.(check bool) "same divergences, in workload order" true (stats1 = stats2);
+  Alcotest.(check (list string)) "same bundle files" (List.map fst one) (List.map fst two);
+  Alcotest.(check bool) "same bundle contents" true (one = two)
+
+(* A stride of 0 makes every workload's plan divide by zero: each forked
+   worker fails, and the parent reaps them all and re-raises. *)
+let test_worker_failure_reraised () =
+  let cfg = { Engine.default_config with Engine.prefix_stride = 0 } in
+  match Engine.sweep_bounded ~cfg ~workers:2 ~max_workloads:4 () with
+  | _ -> Alcotest.fail "a failing worker went unreported"
+  | exception Failure msg ->
+      Alcotest.(check bool) ("names the worker's exception: " ^ msg) true
+        (String.starts_with ~prefix:"crash sweep worker 0: Division_by_zero" msg)
 
 let () =
   Alcotest.run "rae_crash"
@@ -205,5 +264,13 @@ let () =
           Alcotest.test_case "repro by key" `Quick test_fixture_repro_by_key;
           Alcotest.test_case "clean point is consistent" `Quick test_oracle_verdict_on_clean_point;
           Alcotest.test_case "postmortem bundles" `Quick test_divergence_bundles;
+        ] );
+      ( "workers",
+        [
+          Alcotest.test_case "verdicts equal at one and two workers" `Slow
+            test_verdicts_equal_across_workers;
+          Alcotest.test_case "bundle files equal at one and two workers" `Quick
+            test_bundles_equal_across_workers;
+          Alcotest.test_case "worker exception re-raised" `Quick test_worker_failure_reraised;
         ] );
     ]

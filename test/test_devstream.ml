@@ -68,7 +68,6 @@ let run ?(bugs = []) ops =
   List.iter (fun op -> ignore (Controller.exec ctl op)) ops;
   ignore (Base.unmount (Controller.base ctl));
   let s = Controller.stats ctl in
-  Controller.shutdown ctl;
   (Digest.to_hex st.digest, st.requests, s.Controller.recoveries)
 
 let runs =

@@ -8,22 +8,17 @@ open Rae_lint
 
 (* The fixtures library plays the role of a read-path layer: it may see
    util/obs/vfs/block/format but not the journal, Bad_impure* units are
-   purity roots, and Bad_swallow.Boom is the runtime-error signal.  The
-   new rule families are aimed at their fixtures too: Bad_domain_escape
-   hosts a parallel-region root and Bad_phase_order a phase marker
-   following the real declared phase order. *)
+   purity roots, and Bad_swallow.Boom is the runtime-error signal.
+   Bad_phase_order hosts a phase marker following the real declared
+   phase order. *)
 let fixture_config =
   let d = Lintcfg.default in
   {
     d with
     Lintcfg.libraries =
-      (* "par" is allowed because the journal's interface pulls the
-         rae_par cmi into the fixture's import table. *)
-      ("lint_fixtures", [ "util"; "obs"; "vfs"; "block"; "format"; "par" ]) :: d.Lintcfg.libraries;
+      ("lint_fixtures", [ "util"; "obs"; "vfs"; "block"; "format" ]) :: d.Lintcfg.libraries;
     purity_roots = [ "Lint_fixtures.Bad_impure" ];
     signal_exceptions = [ "Lint_fixtures.Bad_swallow.Boom" ];
-    domain_regions =
-      ("fixture-fold", [ "Lint_fixtures.Bad_domain_escape.fold_entry" ]) :: d.Lintcfg.domain_regions;
     phase_protocols =
       ("Lint_fixtures.Bad_phase_order.phase", Lintcfg.default_phase_order) :: d.Lintcfg.phase_protocols;
   }
@@ -102,45 +97,15 @@ let test_persist_destage_order () =
     (keys_of fs);
   Alcotest.(check (list int)) "at the write and the flush" [ 10; 11 ] (lines_of fs)
 
-(* ---- domain-safety ---- *)
+(* ---- no-domain-spawn ---- *)
 
-let test_domain_escape () =
+let test_domain_spawn () =
   let r = run_fixtures () in
-  match hits "domain-safety" "bad_domain_escape.ml" r with
+  match hits "no-domain-spawn" "bad_domain_spawn.ml" r with
   | [ f ] ->
-      Alcotest.(check string) "region:cell key"
-        "fixture-fold:Lint_fixtures.Bad_domain_escape.shared_hits" f.Finding.key;
-      Alcotest.(check int) "at the unguarded write" 6 f.Finding.line
-  | fs -> Alcotest.failf "expected exactly one domain-safety finding, got %d" (List.length fs)
-
-let test_domain_report () =
-  let r = run_fixtures () in
-  let json = Rae_obs.Jsonx.to_string (Domsafety.to_json r.Engine.domain) in
-  let parsed = Rae_obs.Jsonx.parse_exn json in
-  let regions =
-    match Rae_obs.Jsonx.(Option.bind (member "regions" parsed) to_list_opt) with
-    | Some l -> l
-    | None -> Alcotest.fail "domain report has no regions list"
-  in
-  (* The fixture region is present, and its one cell is classified as a
-     finding (the machine-readable face of test_domain_escape). *)
-  let fixture =
-    List.find_opt
-      (fun reg -> Rae_obs.Jsonx.(Option.bind (member "region" reg) to_str_opt) = Some "fixture-fold")
-      regions
-  in
-  match fixture with
-  | None -> Alcotest.fail "fixture-fold region missing from the report"
-  | Some reg -> (
-      match Rae_obs.Jsonx.(Option.bind (member "cells" reg) to_list_opt) with
-      | Some [ cell ] ->
-          Alcotest.(check (option string))
-            "cell named" (Some "Lint_fixtures.Bad_domain_escape.shared_hits")
-            Rae_obs.Jsonx.(Option.bind (member "cell" cell) to_str_opt);
-          Alcotest.(check (option string))
-            "classified as a finding" (Some "finding")
-            Rae_obs.Jsonx.(Option.bind (member "class" cell) to_str_opt)
-      | _ -> Alcotest.fail "expected exactly one catalogued cell in fixture-fold")
+      Alcotest.(check string) "spawn key" "Stdlib.Domain.spawn" f.Finding.key;
+      Alcotest.(check int) "at the spawn" 4 f.Finding.line
+  | fs -> Alcotest.failf "expected exactly one no-domain-spawn finding, got %d" (List.length fs)
 
 (* ---- phase-order ---- *)
 
@@ -272,8 +237,7 @@ let () =
           Alcotest.test_case "no-swallow" `Quick test_swallow;
           Alcotest.test_case "persist-order journal bypass" `Quick test_persist_bypass;
           Alcotest.test_case "persist-order destage/flush reorder" `Quick test_persist_destage_order;
-          Alcotest.test_case "domain-safety escape" `Quick test_domain_escape;
-          Alcotest.test_case "domain-safety report" `Quick test_domain_report;
+          Alcotest.test_case "no-domain-spawn" `Quick test_domain_spawn;
           Alcotest.test_case "phase-order" `Quick test_phase_order;
           Alcotest.test_case "phase order pinned to controller" `Quick
             test_phase_order_matches_controller;
