@@ -7,18 +7,34 @@ type t = {
   dev_flush : unit -> unit;
   dev_block_size : int;
   dev_nblocks : int;
+  dev_read_into : int -> bytes -> unit;
+  dev_read_into_for : int -> bytes;
 }
 
 let of_disk disk =
+  let read = Disk.read disk in
   {
-    dev_read = Disk.read disk;
+    dev_read = read;
     dev_write = Disk.write disk;
     dev_flush = (fun () -> ());
     dev_block_size = Disk.block_size disk;
     dev_nblocks = Disk.nblocks disk;
+    dev_read_into = Disk.read_into disk;
+    dev_read_into_for = read;
   }
 
 let read t blk = t.dev_read blk
+
+(* The copy-free path stands in for [dev_read] only while [dev_read] is
+   still the read it was built beside: a wrapper that replaced
+   [dev_read] (fault injection, crash simulation, counters, loggers) must
+   keep seeing every read, so it gets [dev_read] plus a blit. *)
+let read_into t blk buf =
+  if Bytes.length buf <> t.dev_block_size then invalid_arg "Device.read_into: buffer size mismatch";
+  if t.dev_read == t.dev_read_into_for then t.dev_read_into blk buf
+  else
+    let b = t.dev_read blk in
+    Bytes.blit b 0 buf 0 t.dev_block_size
 let write t blk data = t.dev_write blk data
 let flush t = t.dev_flush ()
 let block_size t = t.dev_block_size

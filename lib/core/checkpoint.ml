@@ -9,13 +9,23 @@ module Shadow = Rae_shadowfs.Shadow
 
 type stats = {
   cuts : int;  (** re-bases onto a freshly committed S0 *)
+  attaches : int;  (** warm shadows attached (first due fold, or seed) *)
+  attach_ns : int;  (** monotonic time spent attaching *)
   folds : int;  (** fold batches applied to the warm shadow *)
+  fold_ns : int;  (** monotonic time spent folding *)
   folded_ops : int;  (** operations folded across all batches *)
   fold_divergences : int;  (** constrained-mode mismatches seen while folding *)
   seeded : int;  (** recoveries seeded from the checkpoint *)
   fallbacks : int;  (** seeded recoveries that fell back to the cold path *)
-  poisons : int;  (** checkpoints discarded after a fold/seed failure *)
+  poisons : int;  (** checkpoints discarded after an attach/fold/seed failure *)
 }
+
+type fds = (Types.fd * Types.ino * Types.open_flags) list
+
+(* [Cut fds]: based on a committed S0, not attached yet — the S0
+   descriptor table is all a cut keeps.  [Warm s]: attached, and folded
+   up to [cursor].  [Cold]: poisoned, or never cut. *)
+type warm = Cold | Cut of fds | Warm of Shadow.t
 
 type t = {
   device : Rae_block.Device.t;
@@ -23,11 +33,14 @@ type t = {
   tracer : Rae_obs.Tracer.t option;
   events : Rae_obs.Events.t option;
   fold_interval : int;
-  mutable warm : Shadow.t option;  (* None: poisoned or never cut *)
+  mutable warm : warm;
   mutable cursor : int;  (* first oplog seq the warm shadow has NOT folded *)
   mutable base_seq : int64;  (* journal commit seq of the S0 we are based on *)
   mutable s_cuts : int;
+  mutable s_attaches : int;
+  mutable s_attach_ns : int;
   mutable s_folds : int;
+  mutable s_fold_ns : int;
   mutable s_folded_ops : int;
   mutable s_fold_divergences : int;
   mutable s_seeded : int;
@@ -38,10 +51,10 @@ type t = {
 let create ?tracer ?events ?(fast_paths = true) ~shadow_checks ~fold_interval device =
   {
     device;
-    (* Never fsck on the warm path: the cut re-reads only the superblock
-       and bitmaps (strict), and every folded op runs under the shadow's
-       full runtime checks — continuous validation in place of the cold
-       path's up-front scan. *)
+    (* Never fsck on the warm path: the attach re-reads only the
+       superblock and bitmaps (strict), and every folded op runs under
+       the shadow's full runtime checks — continuous validation in place
+       of the cold path's up-front scan. *)
     config =
       {
         Shadow.default_config with
@@ -52,11 +65,14 @@ let create ?tracer ?events ?(fast_paths = true) ~shadow_checks ~fold_interval de
     tracer;
     events;
     fold_interval = max 1 fold_interval;
-    warm = None;
+    warm = Cold;
     cursor = 0;
     base_seq = 0L;
     s_cuts = 0;
+    s_attaches = 0;
+    s_attach_ns = 0;
     s_folds = 0;
+    s_fold_ns = 0;
     s_folded_ops = 0;
     s_fold_divergences = 0;
     s_seeded = 0;
@@ -64,98 +80,124 @@ let create ?tracer ?events ?(fast_paths = true) ~shadow_checks ~fold_interval de
     s_poisons = 0;
   }
 
-let valid t = t.warm <> None
+let valid t = match t.warm with Cold -> false | Cut _ | Warm _ -> true
 let cursor t = t.cursor
 let base_seq t = t.base_seq
+let now () = Int64.to_int (Rae_util.Monoclock.now_ns ())
 
 let with_span t name f =
   match t.tracer with Some tr -> Rae_obs.Tracer.with_span tr ~cat:"ckpt" name f | None -> f ()
 
 let poison t =
-  if t.warm <> None then begin
-    t.warm <- None;
+  if valid t then begin
+    t.warm <- Cold;
     t.s_poisons <- t.s_poisons + 1;
     match t.events with Some ev -> Rae_obs.Events.record_ckpt_poison ev | None -> ()
   end
 
 (* ---- cut: re-base the checkpoint on a freshly committed S0 ---- *)
 
+(* The cut records where S0 is and defers the attach.  That is the same
+   checkpoint as attaching now: the base writes the device only inside a
+   commit, every commit re-cuts, and an attach reads only the committed
+   image (superblock, bitmaps, then blocks on demand) — so until the next
+   cut the device holds this S0, whenever the attach reads it. *)
 let cut t ~window ~fds ~next_seq ~commit_seq =
   if window > 0 then
     Error
       (Printf.sprintf "refusing checkpoint cut: op window holds %d uncommitted operation(s)"
          window)
-  else
-    with_span t "ckpt-cut" (fun () ->
+  else begin
+    t.warm <- Cut fds;
+    t.cursor <- next_seq;
+    t.base_seq <- commit_seq;
+    t.s_cuts <- t.s_cuts + 1;
+    (match t.events with Some ev -> Rae_obs.Events.record_ckpt_cut ev | None -> ());
+    Ok ()
+  end
+
+(* The work a cut defers: attach a shadow to S0 and reinstate the S0
+   descriptors.  A device error or a check failure is an attach failure. *)
+let attach t fds =
+  with_span t "ckpt-attach" (fun () ->
+      let t0 = now () in
+      let rec install shadow = function
+        | [] -> Ok shadow
+        | (fd, ino, flags) :: rest -> (
+            match Shadow.install_fd shadow ~fd ~ino flags with
+            | Ok () -> install shadow rest
+            | Error msg -> Error ("warm fd reinstatement: " ^ msg))
+      in
+      let r =
         match Shadow.attach ~config:t.config t.device with
-        | Error msg ->
-            poison t;
+        | Error msg -> Error ("warm attach: " ^ msg)
+        | Ok shadow -> install shadow fds
+        | exception (Shadow.Violation msg | Rae_block.Device.Io_error msg) ->
             Error ("warm attach: " ^ msg)
-        | Ok warm -> (
-            let rec install = function
-              | [] -> Ok ()
-              | (fd, ino, flags) :: rest -> (
-                  match Shadow.install_fd warm ~fd ~ino flags with
-                  | Ok () -> install rest
-                  | Error msg -> Error ("warm fd reinstatement: " ^ msg))
-            in
-            match install fds with
-            | Error _ as e ->
-                poison t;
-                e
-            | Ok () ->
-                t.warm <- Some warm;
-                t.cursor <- next_seq;
-                t.base_seq <- commit_seq;
-                t.s_cuts <- t.s_cuts + 1;
-                (match t.events with
-                | Some ev -> Rae_obs.Events.record_ckpt_cut ev
-                | None -> ());
-                Ok ()))
+      in
+      t.s_attaches <- t.s_attaches + 1;
+      t.s_attach_ns <- t.s_attach_ns + (now () - t0);
+      r)
 
 (* ---- fold: advance the warm shadow through the recorded suffix ---- *)
 
-let due t ~next_seq =
-  match t.warm with
-  | None -> false
-  | Some _ -> next_seq - t.cursor >= t.fold_interval
+let due t ~next_seq = valid t && next_seq - t.cursor >= t.fold_interval
+
+let fold_into t warm ~entries ~next_seq =
+  with_span t "ckpt-fold" (fun () ->
+      let t0 = now () in
+      (try
+         (* The whole window goes to the shadow in one batched pass: the
+            shadow amortizes superblock/bitmap write-back and the summary
+            re-check across the window instead of paying them per op.
+            Divergences keep the shadow's own answer, same policy as cold
+            constrained replay; the count surfaces through stats/metrics. *)
+         let res = Shadow.exec_constrained_window warm entries in
+         t.cursor <- next_seq;
+         t.s_folds <- t.s_folds + 1;
+         t.s_folded_ops <- t.s_folded_ops + res.Shadow.w_ops;
+         t.s_fold_divergences <- t.s_fold_divergences + res.Shadow.w_divergences;
+         match t.events with
+         | Some ev -> Rae_obs.Events.record_ckpt_fold ev ~ops:res.Shadow.w_ops
+         | None -> ()
+       with Shadow.Violation _ | Rae_block.Device.Io_error _ ->
+         (* The warm replica refuses the fold — don't disturb the hot
+            path; recovery will take the cold route until the next cut. *)
+         poison t);
+      t.s_fold_ns <- t.s_fold_ns + (now () - t0))
 
 let fold t ~entries ~next_seq =
   match t.warm with
-  | None -> ()
-  | Some warm ->
-      with_span t "ckpt-fold" (fun () ->
-          try
-            (* The whole window goes to the shadow in one batched pass:
-               the shadow amortizes superblock/bitmap write-back and the
-               summary re-check across the window instead of paying them
-               per op.  Divergences keep the shadow's own answer, same
-               policy as cold constrained replay; the count surfaces
-               through stats/metrics. *)
-            let window = List.filter (fun r -> r.Op.seq >= t.cursor) entries in
-            let res = Shadow.exec_constrained_window warm window in
-            t.cursor <- next_seq;
-            t.s_folds <- t.s_folds + 1;
-            t.s_folded_ops <- t.s_folded_ops + res.Shadow.w_ops;
-            t.s_fold_divergences <- t.s_fold_divergences + res.Shadow.w_divergences;
-            match t.events with
-            | Some ev -> Rae_obs.Events.record_ckpt_fold ev ~ops:res.Shadow.w_ops
-            | None -> ()
-          with Shadow.Violation _ ->
-            (* The warm replica refuses the fold — don't disturb the hot
-               path; recovery will take the cold route until the next cut. *)
-            poison t)
+  | Cold -> ()
+  | Warm warm -> fold_into t warm ~entries ~next_seq
+  | Cut fds -> (
+      match attach t fds with
+      | Error _ -> poison t
+      | Ok warm ->
+          t.warm <- Warm warm;
+          fold_into t warm ~entries ~next_seq)
 
 (* ---- seed: hand recovery a shadow pre-advanced to the cursor ---- *)
 
 let seed t =
+  let seeded shadow =
+    t.s_seeded <- t.s_seeded + 1;
+    Ok (shadow, t.cursor)
+  in
   match t.warm with
-  | None -> Error "no warm checkpoint"
-  | Some warm -> (
+  | Cold -> Error "no warm checkpoint"
+  | Cut fds -> (
+      (* Nothing folded since the cut: the seed is the deferred attach
+         itself, on the S0 the contained reboot left on the device.  The
+         checkpoint stays a cut, so a failed recovery can seed again. *)
+      match attach t fds with
+      | Ok shadow -> seeded shadow
+      | Error msg ->
+          poison t;
+          Error ("checkpoint seed: " ^ msg))
+  | Warm warm -> (
       match Shadow.attach_from ~config:t.config (Shadow.export_state warm) t.device with
-      | Ok shadow ->
-          t.s_seeded <- t.s_seeded + 1;
-          Ok (shadow, t.cursor)
+      | Ok shadow -> seeded shadow
       | Error msg ->
           poison t;
           Error ("checkpoint seed: " ^ msg))
@@ -167,7 +209,10 @@ let note_fallback t = t.s_fallbacks <- t.s_fallbacks + 1
 let stats t =
   {
     cuts = t.s_cuts;
+    attaches = t.s_attaches;
+    attach_ns = t.s_attach_ns;
     folds = t.s_folds;
+    fold_ns = t.s_fold_ns;
     folded_ops = t.s_folded_ops;
     fold_divergences = t.s_fold_divergences;
     seeded = t.s_seeded;
@@ -177,7 +222,10 @@ let stats t =
 
 let reset_stats t =
   t.s_cuts <- 0;
+  t.s_attaches <- 0;
+  t.s_attach_ns <- 0;
   t.s_folds <- 0;
+  t.s_fold_ns <- 0;
   t.s_folded_ops <- 0;
   t.s_fold_divergences <- 0;
   t.s_seeded <- 0;
@@ -190,6 +238,18 @@ let register_obs reg t =
     ~reset:(fun () -> t.s_cuts <- 0)
     "rae_ckpt_cuts_total"
     (fun () -> t.s_cuts);
+  M.register_counter reg ~help:"warm shadows attached (a cut's deferred attach, or a seed)"
+    ~reset:(fun () -> t.s_attaches <- 0)
+    "rae_ckpt_attaches_total"
+    (fun () -> t.s_attaches);
+  M.register_counter reg ~help:"monotonic nanoseconds spent attaching warm shadows"
+    ~reset:(fun () -> t.s_attach_ns <- 0)
+    "rae_ckpt_attach_ns_total"
+    (fun () -> t.s_attach_ns);
+  M.register_counter reg ~help:"monotonic nanoseconds spent folding"
+    ~reset:(fun () -> t.s_fold_ns <- 0)
+    "rae_ckpt_fold_ns_total"
+    (fun () -> t.s_fold_ns);
   M.register_counter reg ~help:"fold batches applied to the warm shadow"
     ~reset:(fun () -> t.s_folds <- 0)
     "rae_ckpt_folds_total"
@@ -210,7 +270,7 @@ let register_obs reg t =
     ~reset:(fun () -> t.s_fallbacks <- 0)
     "rae_ckpt_fallbacks_total"
     (fun () -> t.s_fallbacks);
-  M.register_counter reg ~help:"checkpoints discarded after a fold or seed failure"
+  M.register_counter reg ~help:"checkpoints discarded after an attach, fold or seed failure"
     ~reset:(fun () -> t.s_poisons <- 0)
     "rae_ckpt_poisons_total"
     (fun () -> t.s_poisons);

@@ -5,10 +5,23 @@
     its latency grows linearly with the window.  This module keeps a
     {b warm shadow}: a second {!Rae_shadowfs.Shadow} instance that is
 
-    - {b cut} (re-based) at journal-commit boundaries — a fresh read-only
-      attach to the just-committed S0 plus the S0 descriptor table, and
+    - {b cut} (re-based) at journal-commit boundaries.  A cut records
+      only the S0 descriptor table, the oplog cursor and the commit
+      sequence; the read-only attach to S0 and the descriptor
+      reinstatement it stands for are {b deferred} until a fold first
+      falls due, or until {!seed} runs after the contained reboot.  Most
+      commit windows never fold, and their cut then costs nothing.
     - {b folded} forward every [fold_interval] recorded operations, by
       constrained re-execution of the oplog suffix it has not seen yet.
+
+    Deferring the attach is sound because the base writes the device
+    only inside a commit and every commit re-cuts: between two cuts the
+    device holds the S0 the cut names, whenever the attach reads it.  The
+    eager attach read the superblock and bitmaps at the cut and every
+    other block lazily anyway; the deferred one moves only those reads.
+    The write and flush stream is unchanged (test_devstream's
+    write-stream golden), and seeded recovery still matches the spec
+    (the checkpoint and crash suites).
 
     On a detected bug, {!seed} exports the warm instance's state (COW
     overlay + fd table + clock, {!Rae_shadowfs.Shadow.export_state}) into
@@ -19,7 +32,7 @@
 
     The warm shadow never writes to disk: it is an ordinary shadow over a
     read-only device handle, and this module is under the shadow-purity
-    lint rule.  Any fold or seed failure {e poisons} the checkpoint
+    lint rule.  Any attach, fold or seed failure {e poisons} the checkpoint
     (drops the warm instance); the controller then falls back to cold
     recovery, so checkpointing can only ever change recovery latency,
     never its semantics. *)
@@ -28,12 +41,18 @@ type t
 
 type stats = {
   cuts : int;  (** re-bases onto a freshly committed S0 *)
+  attaches : int;
+      (** warm shadows attached: a cut's deferred attach when its first
+          fold fell due, or a seed straight from a cut.  A cut that never
+          attaches cost only its bookkeeping. *)
+  attach_ns : int;  (** monotonic nanoseconds spent in those attaches *)
   folds : int;  (** fold batches applied to the warm shadow *)
+  fold_ns : int;  (** monotonic nanoseconds spent folding, attach excluded *)
   folded_ops : int;  (** operations folded across all batches *)
   fold_divergences : int;  (** constrained-mode mismatches seen while folding *)
   seeded : int;  (** recoveries seeded from the checkpoint *)
   fallbacks : int;  (** seeded recoveries that fell back to the cold path *)
-  poisons : int;  (** checkpoints discarded after a fold/seed failure *)
+  poisons : int;  (** checkpoints discarded after an attach/fold/seed failure *)
 }
 
 val create :
@@ -66,26 +85,30 @@ val cut :
     suffix and a cut would capture an S0 the oplog is not relative to.
     [fds] is the S0 descriptor snapshot, [next_seq] the oplog's next
     sequence number, [commit_seq] the journal's durable commit sequence.
-    On error the previous checkpoint (if any) is poisoned. *)
+    The cut only records these; it reads nothing from the device. *)
 
 val due : t -> next_seq:int -> bool
 (** Has the unfolded suffix reached [fold_interval]?  False when no valid
     checkpoint exists. *)
 
 val fold : t -> entries:Rae_vfs.Op.recorded list -> next_seq:int -> unit
-(** Advance the warm shadow through the oplog entries with
-    [seq >= cursor] (constrained mode, divergences counted, same
-    keep-going policy as recovery replay), then move the cursor to
-    [next_seq].  A {!Rae_shadowfs.Shadow.Violation} poisons the
-    checkpoint instead of escaping — the hot path never observes fold
-    failures.  Emits a [ckpt-fold] span. *)
+(** Advance the warm shadow through [entries], which must be the oplog
+    entries from {!cursor} on (constrained mode, divergences counted,
+    same keep-going policy as recovery replay), then move the cursor to
+    [next_seq].  The first fold after a cut attaches the warm shadow
+    first (a [ckpt-attach] span); an attach failure poisons the
+    checkpoint.  A {!Rae_shadowfs.Shadow.Violation} or a device error
+    while folding poisons it too instead of escaping — the hot path never
+    observes fold failures.  Emits a [ckpt-fold] span. *)
 
 val seed : t -> (Rae_shadowfs.Shadow.t * int, string) result
 (** Build a fresh shadow from the warm instance's exported state and
     return it with the fold cursor: recovery replays only entries with
-    [seq >= cursor].  The warm instance itself is untouched (a failed
-    recovery can seed again).  Fails, poisoning the checkpoint, if no
-    valid checkpoint exists or the state import is rejected. *)
+    [seq >= cursor].  From a cut that never folded, the fresh shadow is
+    the deferred attach itself, run now on the device the contained
+    reboot left.  The checkpoint itself is untouched (a failed recovery
+    can seed again).  Fails, poisoning the checkpoint, if no valid
+    checkpoint exists or the attach or state import is rejected. *)
 
 val poison : t -> unit
 (** Discard the warm instance (counted when one existed).  Subsequent
@@ -104,4 +127,6 @@ val stats : t -> stats
 val reset_stats : t -> unit
 
 val register_obs : Rae_obs.Metrics.t -> t -> unit
-(** Register the [rae_ckpt_*] counter/gauge family. *)
+(** Register the [rae_ckpt_*] counter/gauge family, including
+    [rae_ckpt_attaches_total], [rae_ckpt_attach_ns_total] and
+    [rae_ckpt_fold_ns_total]. *)

@@ -250,7 +250,10 @@ let ckpt_json t =
           ("cursor", J.Int (Checkpoint.cursor c));
           ("base_seq", J.Int (Int64.to_int (Checkpoint.base_seq c)));
           ("cuts", J.Int s.Checkpoint.cuts);
+          ("attaches", J.Int s.Checkpoint.attaches);
+          ("attach_ns", J.Int s.Checkpoint.attach_ns);
           ("folds", J.Int s.Checkpoint.folds);
+          ("fold_ns", J.Int s.Checkpoint.fold_ns);
           ("folded_ops", J.Int s.Checkpoint.folded_ops);
           ("fold_divergences", J.Int s.Checkpoint.fold_divergences);
           ("seeded", J.Int s.Checkpoint.seeded);

@@ -71,8 +71,7 @@ let read_ptr_block t blk =
 
 let ptr_at b i = Codec.get_u32_int b (4 * i)
 
-let file_block t inode idx =
-  let g = geometry t in
+let walk_file_block g ~ptr inode idx =
   let ppb = Layout.pointers_per_block in
   if idx < 0 || idx >= Layout.max_file_blocks then err "file" "logical block %d out of range" idx
   else if idx < Layout.direct_pointers then
@@ -84,7 +83,7 @@ let file_block t inode idx =
       else
         match check_ptr g ~what:"indirect pointer" inode.Inode.indirect with
         | Error e -> Error e
-        | Ok blk -> check_ptr g ~what:"indirect entry" (ptr_at (read_ptr_block t blk) idx)
+        | Ok blk -> check_ptr g ~what:"indirect entry" (ptr blk idx)
     else
       let idx = idx - ppb in
       if inode.Inode.double_indirect = 0 then Ok 0
@@ -92,11 +91,14 @@ let file_block t inode idx =
         match check_ptr g ~what:"double-indirect pointer" inode.Inode.double_indirect with
         | Error e -> Error e
         | Ok dblk -> (
-            let l1 = ptr_at (read_ptr_block t dblk) (idx / ppb) in
+            let l1 = ptr dblk (idx / ppb) in
             match check_ptr g ~what:"double-indirect L1 entry" l1 with
             | Error e -> Error e
             | Ok 0 -> Ok 0
-            | Ok l1blk -> check_ptr g ~what:"double-indirect L2 entry" (ptr_at (read_ptr_block t l1blk) (idx mod ppb)))
+            | Ok l1blk -> check_ptr g ~what:"double-indirect L2 entry" (ptr l1blk (idx mod ppb)))
+
+let file_block t inode idx =
+  walk_file_block (geometry t) ~ptr:(fun blk i -> ptr_at (read_ptr_block t blk) i) inode idx
 
 let read_file_block t inode idx =
   match file_block t inode idx with

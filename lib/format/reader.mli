@@ -38,6 +38,13 @@ val file_block : t -> Inode.t -> int -> (int, error) result
     a hole).  Walks the direct / single-indirect / double-indirect chain
     with bounds checks at every hop. *)
 
+val walk_file_block :
+  Layout.geometry -> ptr:(int -> int -> int) -> Inode.t -> int -> (int, error) result
+(** {!file_block} over any pointer source: [ptr blk i] is entry [i] of
+    the pointer block [blk].  The same chain walk, bounds checks and
+    error messages; the shadow passes a [ptr] that reads the entry in
+    place through its overlay instead of copying the pointer block. *)
+
 val read_file_block : t -> Inode.t -> int -> (bytes, error) result
 (** The content of logical block [idx]; holes read as zeroes. *)
 

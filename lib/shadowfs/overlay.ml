@@ -1,12 +1,24 @@
 module Device = Rae_block.Device
 
+(* [scratch] receives the device block on a {!view} miss; [viewing] is
+   set while a view holds it, so a nested miss takes a fresh buffer
+   instead of overwriting the block the outer view is reading. *)
 type t = {
   dev : Device.t;  (* read-only *)
   blocks : (int, bytes) Hashtbl.t;
+  scratch : bytes;
+  mutable viewing : bool;
   mutable device_reads : int;
 }
 
-let create dev = { dev = Device.read_only dev; blocks = Hashtbl.create 64; device_reads = 0 }
+let create dev =
+  {
+    dev = Device.read_only dev;
+    blocks = Hashtbl.create 64;
+    scratch = Bytes.create (Device.block_size dev);
+    viewing = false;
+    device_reads = 0;
+  }
 
 let read t blk =
   match Hashtbl.find_opt t.blocks blk with
@@ -15,11 +27,14 @@ let read t blk =
       t.device_reads <- t.device_reads + 1;
       Device.read t.dev blk
 
-let write t blk data =
+let check_block t what blk data =
   if blk < 0 || blk >= Device.nblocks t.dev then
-    invalid_arg (Printf.sprintf "Overlay.write: block %d out of range" blk);
+    invalid_arg (Printf.sprintf "Overlay.%s: block %d out of range" what blk);
   if Bytes.length data <> Device.block_size t.dev then
-    invalid_arg "Overlay.write: wrong block size";
+    invalid_arg (Printf.sprintf "Overlay.%s: wrong block size" what)
+
+let write t blk data =
+  check_block t "write" blk data;
   (* Re-use the stored buffer when the block is already shadowed: stored
      bytes never escape uncopied ([read]/[dirty] copy on the way out), so
      blitting in place is unobservable — and it keeps hot blocks
@@ -34,7 +49,18 @@ let view t blk f =
   | Some stored -> f stored
   | None ->
       t.device_reads <- t.device_reads + 1;
-      f (Device.read t.dev blk)
+      if t.viewing then f (Device.read t.dev blk)
+      else begin
+        Device.read_into t.dev blk t.scratch;
+        t.viewing <- true;
+        match f t.scratch with
+        | v ->
+            t.viewing <- false;
+            v
+        | exception e ->
+            t.viewing <- false;
+            raise e
+      end
 
 let rmw t blk f =
   if blk < 0 || blk >= Device.nblocks t.dev then
@@ -49,7 +75,14 @@ let rmw t blk f =
       let b = Device.read t.dev blk in
       if f b then Hashtbl.add t.blocks blk b
 
-let import t blocks = List.iter (fun (blk, data) -> write t blk data) blocks
+(* The buffers come from {!dirty}, which copied them; storing them as
+   they are saves a second copy of every block. *)
+let import t blocks =
+  List.iter
+    (fun (blk, data) ->
+      check_block t "import" blk data;
+      Hashtbl.replace t.blocks blk data)
+    blocks
 let mem t blk = Hashtbl.mem t.blocks blk
 
 let dirty t =

@@ -21,10 +21,19 @@ val write : t -> int -> bytes -> unit
     numbers. *)
 
 val view : t -> int -> (bytes -> 'a) -> 'a
-(** Zero-copy read access: [f] is applied to the live stored buffer (or
-    to the device's fresh copy on an overlay miss) and must neither
-    mutate nor retain it.  For read paths that immediately blit what they
-    need out of the block, this replaces {!read}'s copy. *)
+(** Copy-free read access: [f] is applied to the live stored buffer and
+    must neither mutate nor retain it.  For read paths that decode or blit
+    what they need out of the block, this replaces {!read}'s copy.
+
+    On an overlay miss the block is read with
+    {!Rae_block.Device.read_into} into one scratch block the overlay
+    owns, so a decode-only read allocates no block at all (on a wrapped
+    device handle that costs the wrapper's [dev_read] plus a blit, and
+    the wrapper still sees the read).  The scratch block is reused by the
+    next miss: this is why [f] must not retain it.  A view opened inside
+    [f] that also misses gets a fresh {!Rae_block.Device.read} instead,
+    so the outer block is never overwritten under its reader.  An
+    exception from [f] or from the device releases the scratch block. *)
 
 val rmw : t -> int -> (bytes -> bool) -> unit
 (** In-place read-modify-write: [f] receives the block's current content
@@ -37,8 +46,12 @@ val rmw : t -> int -> (bytes -> bool) -> unit
 
 val import : t -> (int * bytes) list -> unit
 (** Bulk-preload overlay content, e.g. an exported {!dirty} list from
-    another overlay over the same device.  Each block goes through
-    {!write}, so the same validation and copy semantics apply. *)
+    another overlay over the same device.  Each block is validated as
+    {!write} validates it, but the overlay {b takes ownership} of the
+    buffers instead of copying them: the caller must not use them again
+    (a {!dirty} list is fresh copies, so handing one over is safe).
+    @raise Invalid_argument on wrong-sized blocks or out-of-range block
+    numbers. *)
 
 val mem : t -> int -> bool
 (** Is the block shadowed by the overlay? *)

@@ -28,7 +28,6 @@ type dir_index = {
 
 type t = {
   ov : Overlay.t;
-  reader : Reader.t;
   geo : Layout.geometry;
   cfg : config;
   mutable sb : Superblock.t;
@@ -81,7 +80,6 @@ let dir_kind_code = Types.kind_code Types.Directory
 let mk_t ov reader config ~ibm ~bbm ~time =
   {
     ov;
-    reader;
     geo = Reader.geometry reader;
     cfg = config;
     sb = reader.Reader.sb;
@@ -201,14 +199,14 @@ let inode_allocated t ino = ino >= 1 && ino <= t.geo.Layout.ninodes && Bitmap.te
 let read_inode_slow t ino =
   check t (inode_allocated t ino) "read of unallocated inode %d" ino;
   let blk, pos = Layout.inode_location t.geo ino in
-  let b = Overlay.read t.ov blk in
-  if t.cfg.checks then begin
-    t.nchecks <- t.nchecks + 1;
-    match Inode.decode b ~pos ~ino with
-    | Ok inode -> inode
-    | Error e -> violation "inode %d: %s" ino (Inode.error_to_string e)
-  end
-  else Inode.decode_nocheck b ~pos
+  Overlay.view t.ov blk (fun b ->
+      if t.cfg.checks then begin
+        t.nchecks <- t.nchecks + 1;
+        match Inode.decode b ~pos ~ino with
+        | Ok inode -> inode
+        | Error e -> violation "inode %d: %s" ino (Inode.error_to_string e)
+      end
+      else Inode.decode_nocheck b ~pos)
 
 (* The cache stays coherent because [write_inode] and [free_ino] are the
    only writers of inode slots, and both update it.  Nothing mutates a
@@ -303,12 +301,16 @@ let free_block t blk =
 
 let ppb = Layout.pointers_per_block
 
+let ptr_get b i = Rae_util.Codec.get_u32_int b (4 * i)
+
+(* The pointer blocks are read in place: a lookup copies no block. *)
 let get_block t inode idx =
-  match Reader.file_block t.reader inode idx with
+  match
+    Reader.walk_file_block t.geo inode idx ~ptr:(fun blk i ->
+        Overlay.view t.ov blk (fun b -> ptr_get b i))
+  with
   | Ok blk -> blk
   | Error e -> violation "%s" (Reader.error_to_string e)
-
-let ptr_get b i = Rae_util.Codec.get_u32_int b (4 * i)
 let ptr_set b i v = Rae_util.Codec.set_u32_int b (4 * i) v
 
 (* Point logical block [idx] of [inode] at [phys], allocating indirect
@@ -446,7 +448,8 @@ let read_range t inode ~off ~len =
       else Overlay.view t.ov phys (fun b -> Bytes.blit b boff buf !pos chunk);
       pos := !pos + chunk
     done;
-    Bytes.to_string buf
+    (* [buf] is ours alone and never written again. *)
+    Bytes.unsafe_to_string buf
   end
 
 (* Write [data] at byte offset [off]; allocates blocks and extends the
@@ -487,10 +490,6 @@ let dir_phys t inode idx =
   if phys = 0 then violation "directory hole at block %d" idx;
   phys
 
-let dir_block t inode idx =
-  let phys = dir_phys t inode idx in
-  (phys, Overlay.read t.ov phys)
-
 let dir_entries_of_block t b =
   if t.cfg.checks then begin
     t.nchecks <- t.nchecks + 1;
@@ -500,13 +499,15 @@ let dir_entries_of_block t b =
   end
   else Dirent.list_nocheck b
 
+(* The entries of logical directory block [idx], parsed in place. *)
+let dir_entries t inode idx = Overlay.view t.ov (dir_phys t inode idx) (dir_entries_of_block t)
+
 let dir_scan_find t inode name =
   let n = dir_nblocks inode in
   let rec go idx =
     if idx >= n then None
     else
-      let _, b = dir_block t inode idx in
-      match List.find_opt (fun e -> String.equal e.Dirent.name name) (dir_entries_of_block t b) with
+      match List.find_opt (fun e -> String.equal e.Dirent.name name) (dir_entries t inode idx) with
       | Some e -> Some e
       | None -> go (idx + 1)
   in
@@ -517,8 +518,7 @@ let dir_list t inode =
   let rec go idx acc =
     if idx >= n then acc
     else
-      let _, b = dir_block t inode idx in
-      go (idx + 1) (acc @ dir_entries_of_block t b)
+      go (idx + 1) (acc @ dir_entries t inode idx)
   in
   go 0 []
 
@@ -533,12 +533,11 @@ let dir_index t ~dino dinode =
       let loc = Hashtbl.create 16 in
       let n = dir_nblocks dinode in
       for idx = 0 to n - 1 do
-        let _, b = dir_block t dinode idx in
         List.iter
           (fun e ->
             Hashtbl.replace by_name e.Dirent.name e;
             Hashtbl.replace loc e.Dirent.name idx)
-          (dir_entries_of_block t b)
+          (dir_entries t dinode idx)
       done;
       let ix = { by_name; loc; free_hint = 0; sorted = None } in
       Hashtbl.replace t.dcache dino ix;
@@ -822,7 +821,11 @@ let touch t ino ~time =
 
 (* ---- guard: map device errors to EIO at the API boundary ---- *)
 
-let guard f = try f () with Device.Io_error _ -> Error Errno.EIO
+(* A device error is the op's answer (EIO), except inside a fold window:
+   there it escapes, because an op cut short may have half-applied its
+   allocations, and the checkpoint must poison rather than keep folding
+   from that state. *)
+let guard t f = if t.batch then f () else try f () with Device.Io_error _ -> Error Errno.EIO
 
 (* ---- the operations ---- *)
 
@@ -883,26 +886,26 @@ let create_node t path ~mode ~kind ~content =
                       Ok ino))))
 
 let create t path ~mode =
-  guard (fun () ->
+  guard t (fun () ->
       if path = [] then Error Errno.EEXIST
       else if not (mode_ok mode) then Error Errno.EINVAL
       else create_node t path ~mode ~kind:Types.Regular ~content:"")
 
 let mkdir t path ~mode =
-  guard (fun () ->
+  guard t (fun () ->
       if path = [] then Error Errno.EEXIST
       else if not (mode_ok mode) then Error Errno.EINVAL
       else create_node t path ~mode ~kind:Types.Directory ~content:"")
 
 let symlink t ~target path =
-  guard (fun () ->
+  guard t (fun () ->
       if path = [] then Error Errno.EEXIST
       else if String.length target = 0 then Error Errno.ENOENT
       else if String.length target > 4095 then Error Errno.ENAMETOOLONG
       else create_node t path ~mode:0o777 ~kind:Types.Symlink ~content:target)
 
 let unlink t path =
-  guard (fun () ->
+  guard t (fun () ->
       if path = [] then Error Errno.EISDIR
       else
         match resolve_parent t path with
@@ -927,7 +930,7 @@ let unlink t path =
                 end))
 
 let rmdir t path =
-  guard (fun () ->
+  guard t (fun () ->
       if path = [] then Error Errno.EINVAL
       else
         match resolve_parent t path with
@@ -960,7 +963,7 @@ let flags_valid (f : Types.open_flags) =
   && not (f.append && not f.wr)
 
 let openf t path flags =
-  guard (fun () ->
+  guard t (fun () ->
       if not (flags_valid flags) then Error Errno.EINVAL
       else if Hashtbl.length t.fds >= t.cfg.max_fds then Error Errno.EMFILE
       else
@@ -999,7 +1002,7 @@ let openf t path flags =
         | Error e -> Error e)
 
 let close t fd =
-  guard (fun () ->
+  guard t (fun () ->
       match Hashtbl.find_opt t.fds fd with
       | None -> Error Errno.EBADF
       | Some { fino; _ } ->
@@ -1012,7 +1015,7 @@ let close t fd =
           Ok ())
 
 let pread t fd ~off ~len =
-  guard (fun () ->
+  guard t (fun () ->
       match Hashtbl.find_opt t.fds fd with
       | None -> Error Errno.EBADF
       | Some { fino; fflags } ->
@@ -1021,7 +1024,7 @@ let pread t fd ~off ~len =
           else Ok (read_range t (read_inode t fino) ~off ~len))
 
 let pwrite t fd ~off data =
-  guard (fun () ->
+  guard t (fun () ->
       match Hashtbl.find_opt t.fds fd with
       | None -> Error Errno.EBADF
       | Some { fino; fflags } ->
@@ -1052,7 +1055,7 @@ let pwrite t fd ~off data =
                     Ok len
             end)
 
-let lookup t path = guard (fun () -> resolve t path ~follow_last:true)
+let lookup t path = guard t (fun () -> resolve t path ~follow_last:true)
 
 let stat_of t ino =
   let inode = read_inode t ino in
@@ -1072,16 +1075,16 @@ let stat_of t ino =
   }
 
 let stat t path =
-  guard (fun () -> Result.map (fun ino -> stat_of t ino) (resolve t path ~follow_last:true))
+  guard t (fun () -> Result.map (fun ino -> stat_of t ino) (resolve t path ~follow_last:true))
 
 let fstat t fd =
-  guard (fun () ->
+  guard t (fun () ->
       match Hashtbl.find_opt t.fds fd with
       | None -> Error Errno.EBADF
       | Some { fino; _ } -> Ok (stat_of t fino))
 
 let readdir t path =
-  guard (fun () ->
+  guard t (fun () ->
       match resolve t path ~follow_last:true with
       | Error e -> Error e
       | Ok ino ->
@@ -1090,7 +1093,7 @@ let readdir t path =
           else Ok (dir_names t ~dino:ino inode))
 
 let rename t src dst =
-  guard (fun () ->
+  guard t (fun () ->
       if src = [] || dst = [] then Error Errno.EINVAL
       else if Path.equal src dst then (
         match resolve_parent t src with
@@ -1183,7 +1186,7 @@ let rename t src dst =
                                   Ok ()))))))
 
 let truncate t path ~size =
-  guard (fun () ->
+  guard t (fun () ->
       if size < 0 then Error Errno.EINVAL
       else if size > Layout.max_file_size then Error Errno.EFBIG
       else
@@ -1221,7 +1224,7 @@ let truncate t path ~size =
                 Ok ()))
 
 let link t src dst =
-  guard (fun () ->
+  guard t (fun () ->
       if src = [] || dst = [] then Error Errno.EINVAL
       else
         match resolve_parent t src with
@@ -1257,7 +1260,7 @@ let link t src dst =
                               Ok ())))))
 
 let readlink t path =
-  guard (fun () ->
+  guard t (fun () ->
       match resolve t path ~follow_last:false with
       | Error e -> Error e
       | Ok ino ->
@@ -1266,7 +1269,7 @@ let readlink t path =
           else Ok (read_range t inode ~off:0 ~len:inode.Inode.size))
 
 let chmod t path ~mode =
-  guard (fun () ->
+  guard t (fun () ->
       if not (mode_ok mode) then Error Errno.EINVAL
       else
         match resolve t path ~follow_last:true with
@@ -1320,14 +1323,62 @@ type constrained_result =
   | Skipped_error
   | Skipped_sync
 
+(* [s] equals [len] bytes of [b] from [boff]: eight bytes at a time.
+   The annotated [=] compiles to an unboxed compare; [Int64.equal] boxes. *)
+let equal_sub s spos b boff len =
+  let rec bytes i =
+    i >= len || (String.unsafe_get s (spos + i) = Bytes.unsafe_get b (boff + i) && bytes (i + 1))
+  in
+  let rec words i =
+    if i + 8 > len then bytes i
+    else
+      (String.get_int64_ne s (spos + i) : int64) = Bytes.get_int64_ne b (boff + i) && words (i + 8)
+  in
+  words 0
+
+(* What a hole reads as.  Never written. *)
+let zero_block = Bytes.make Layout.block_size '\000'
+
+(* Would [pread t fd ~off ~len] answer exactly [s]?  Compares the recorded
+   answer against the file's blocks in place, so a matching read builds
+   no result.  [false] also when [pread] would fail (bad descriptor or
+   arguments): the caller then builds the real outcome. *)
+let pread_matches t fd ~off ~len s =
+  match Hashtbl.find_opt t.fds fd with
+  | Some { fino; fflags } when fflags.Types.rd && off >= 0 && len >= 0 ->
+      let inode = read_inode t fino in
+      let size = inode.Inode.size in
+      let n = if off >= size then 0 else min len (size - off) in
+      let rec from pos =
+        pos >= n
+        ||
+        let abs = off + pos in
+        let idx = abs / Layout.block_size and boff = abs mod Layout.block_size in
+        let chunk = min (Layout.block_size - boff) (n - pos) in
+        let phys = get_block t inode idx in
+        (if phys = 0 then equal_sub s pos zero_block boff chunk
+         else Overlay.view t.ov phys (fun b -> equal_sub s pos b boff chunk))
+        && from (pos + chunk)
+      in
+      String.length s = n && from 0
+  | Some _ | None -> false
+
+let build_and_compare t op outcome =
+  let shadow_outcome = exec t op in
+  if Op.outcome_equal outcome shadow_outcome then Matches else Divergence shadow_outcome
+
 let exec_constrained t { Op.op; outcome; seq = _ } =
-  match outcome with
-  | Error _ -> Skipped_error
-  | Ok _ ->
-      if Op.is_sync op then Skipped_sync
-      else
-        let shadow_outcome = exec t op in
-        if Op.outcome_equal outcome shadow_outcome then Matches else Divergence shadow_outcome
+  match (op, outcome) with
+  | _, Error _ -> Skipped_error
+  | _ when Op.is_sync op -> Skipped_sync
+  | Op.Pread (fd, off, len), Ok (Op.Data s) -> (
+      (* A mismatch re-executes the read to report what the shadow would
+         have answered; a device error is what [pread] would answer. *)
+      match pread_matches t fd ~off ~len s with
+      | true -> Matches
+      | false -> build_and_compare t op outcome
+      | exception Device.Io_error _ when not t.batch -> Divergence (Error Errno.EIO))
+  | _ -> build_and_compare t op outcome
 
 type window_result = { w_ops : int; w_matches : int; w_divergences : int; w_skipped : int }
 

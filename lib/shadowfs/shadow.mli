@@ -73,7 +73,9 @@ val exec_constrained : t -> Rae_vfs.Op.recorded -> constrained_result
     validate the base's outcome — including its inode and descriptor
     allocations — rather than trusting the shadow's own answer blindly.
     On [Divergence] the shadow's state reflects the shadow's outcome (the
-    trusted answer); the caller decides whether to continue. *)
+    trusted answer); the caller decides whether to continue.  A recorded
+    [Pread] answer is compared against the file's blocks in place, and
+    the shadow's own answer is built only for a [Divergence]. *)
 
 type window_result = {
   w_ops : int;  (** entries processed (including skips) *)
@@ -90,7 +92,10 @@ val exec_constrained_window : t -> Rae_vfs.Op.recorded list -> window_result
     repository is view-level, and the only physical difference is the
     overlay superblock's generation count.  A {!Violation} raised mid-
     window still leaves the overlay write-back consistent before
-    propagating.  Windows do not nest. *)
+    propagating.  So does a {!Rae_block.Device.Io_error}: inside a window
+    a device error is not the op's EIO answer but escapes, because the op
+    it cut short may have half-applied its allocations and the instance
+    should be discarded.  Windows do not nest. *)
 
 val dirty_blocks : t -> (int * bytes) list
 (** The overlay: every block the shadow would have written. *)
@@ -137,7 +142,10 @@ val attach_from : ?config:config -> state -> Rae_block.Device.t -> (t, string) r
     the snapshot's overlay pre-loaded (imported {e before} the superblock
     and bitmaps are decoded, so the strict attach-time validation runs
     against the imported state), the descriptor table reinstated through
-    {!install_fd}, and the clock restored.  Never runs fsck: the exporter
+    {!install_fd}, and the clock restored.  The new instance takes
+    ownership of [state]'s block buffers ({!Overlay.import}), so a state
+    from {!export_state} is copied once, not twice; do not attach from
+    the same state twice.  Never runs fsck: the exporter
     was validating every operation as it folded them, which is the
     liveness argument a cold attach gets from [fsck_on_attach]. *)
 

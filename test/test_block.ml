@@ -82,6 +82,47 @@ let test_device_counting () =
   Device.write dev 2 (block_of_char 'x');
   Alcotest.(check (pair int int)) "counted" (2, 1) (counts ())
 
+(* [read_into] on a raw handle is [read] without the fresh buffer: same
+   bytes, same read count, same clock charge — and the caller's buffer
+   never aliases the disk's storage. *)
+let test_device_read_into_raw () =
+  let clock = Rae_util.Vclock.create () in
+  let d = Disk.create ~clock ~block_size:bs ~nblocks:64 () in
+  Disk.write d 7 (block_of_char 'q');
+  Disk.reset_counters d;
+  List.iter
+    (fun (name, dev) ->
+      let reads0 = Disk.reads d and t0 = Rae_util.Vclock.now clock in
+      let a = Device.read dev 7 in
+      let reads1 = Disk.reads d and t1 = Rae_util.Vclock.now clock in
+      let buf = Bytes.make bs 'z' in
+      Device.read_into dev 7 buf;
+      let reads2 = Disk.reads d and t2 = Rae_util.Vclock.now clock in
+      Alcotest.(check bool) (name ^ ": same bytes") true (Bytes.equal a buf);
+      Alcotest.(check int) (name ^ ": same read count") (reads1 - reads0) (reads2 - reads1);
+      Alcotest.(check int64) (name ^ ": same clock charge") (Int64.sub t1 t0) (Int64.sub t2 t1);
+      Bytes.fill buf 0 bs 'w';
+      Alcotest.(check bool) (name ^ ": no aliasing") true
+        (Bytes.equal (Disk.read d 7) (block_of_char 'q')))
+    [ ("of_disk", Device.of_disk d); ("read_only", Device.read_only (Device.of_disk d)) ];
+  match Device.read_into (Device.of_disk d) 7 (Bytes.create (bs - 1)) with
+  | () -> Alcotest.fail "short buffer accepted"
+  | exception Invalid_argument _ -> ()
+
+(* A wrapper that replaced [dev_read] keeps seeing every read. *)
+let test_device_read_into_wrapped () =
+  let d = mk_disk () in
+  Disk.write d 3 (block_of_char 'k');
+  let dev, counts = Device.counting (Device.of_disk d) in
+  let buf = Bytes.create bs in
+  Device.read_into (Device.read_only dev) 3 buf;
+  Alcotest.(check bool) "bytes" true (Bytes.equal buf (block_of_char 'k'));
+  Alcotest.(check (pair int int)) "counted through the wrapper" (1, 0) (counts ());
+  let f = Fault.create [ Fault.Read_error { block = 3; from_nth = 1; count = 1 } ] in
+  match Device.read_into (Fault.wrap f (Device.of_disk d)) 3 buf with
+  | () -> Alcotest.fail "fault bypassed"
+  | exception Device.Io_error _ -> ()
+
 (* ---- Fault ---- *)
 
 let test_fault_read_error_window () =
@@ -260,6 +301,8 @@ let () =
         [
           Alcotest.test_case "read_only enforced" `Quick test_device_read_only;
           Alcotest.test_case "counting wrapper" `Quick test_device_counting;
+          Alcotest.test_case "read_into = read on a raw handle" `Quick test_device_read_into_raw;
+          Alcotest.test_case "read_into through a wrapper" `Quick test_device_read_into_wrapped;
         ] );
       ( "fault",
         [

@@ -498,6 +498,151 @@ let test_invalidation_adversary () =
       | None -> Alcotest.fail "checkpoint stats missing")
     [ ("rfsd", rfsd_policy, false); ("fold every 8", ckpt_policy, true) ]
 
+let ckpt_stats ctl =
+  match Controller.checkpoint_stats ctl with
+  | Some s -> s
+  | None -> Alcotest.fail "checkpoint stats missing"
+
+(* A window that never reached [ckpt_fold_interval]: its cut never
+   attached, so the recovery's seed is the deferred attach itself, run on
+   the device the contained reboot left — with the descriptor open at the
+   cut reinstated.  The applications still see exactly the spec. *)
+let test_seed_from_unfolded_cut () =
+  let _disk, _dev, ctl =
+    mk
+      ~policy:{ Controller.default_policy with Controller.ckpt_enabled = true }
+      ~config:{ Base.default_config with Base.commit_interval = max_int }
+      ~bugs:(arm [ "crafted-name-panic" ])
+      ()
+  in
+  let before_panic =
+    [
+      Op.Mkdir (p "/d", 0o755);
+      Op.Create (p "/d/a", 0o644);
+      Op.Open (p "/d/a", Types.flags_rw);
+      Op.Pwrite (0, 0, "hello");
+      Op.Fsync 0 (* commit: the cut keeps fd 0 *);
+      Op.Pwrite (0, 5, " world");
+      Op.Create (p "/d/b", 0o644);
+      Op.Pread (0, 0, 11);
+    ]
+  in
+  let sp = Spec.make () in
+  let run ops =
+    List.iter
+      (fun op ->
+        let want = Spec.exec sp op and got = Controller.exec ctl op in
+        if not (Op.outcome_equal want got) then
+          Alcotest.failf "%s: spec %s, RAE %s" (Op.to_string op)
+            (Format.asprintf "%a" Op.pp_outcome want)
+            (Format.asprintf "%a" Op.pp_outcome got))
+      ops
+  in
+  run before_panic;
+  let s = ckpt_stats ctl in
+  Alcotest.(check bool) "cut at the commit" true (s.Rae_core.Checkpoint.cuts >= 2);
+  Alcotest.(check int) "no cut attached yet" 0 s.Rae_core.Checkpoint.attaches;
+  run
+    [
+      Op.Create (p "/d/pwn", 0o644) (* panic: seeded recovery from the cut *);
+      Op.Pread (0, 0, 11);
+      Op.Readdir (p "/d");
+    ];
+  Alcotest.(check (option Alcotest.string)) "not degraded" None (Controller.degraded ctl);
+  Alcotest.(check int) "one recovery" 1 (Controller.stats ctl).Controller.recoveries;
+  (match Controller.last_recovery ctl with
+  | Some r -> Alcotest.(check bool) "report marked seeded" true r.Report.r_seeded
+  | None -> Alcotest.fail "no recovery report");
+  let s = ckpt_stats ctl in
+  Alcotest.(check int) "seeded" 1 s.Rae_core.Checkpoint.seeded;
+  Alcotest.(check int) "never folded" 0 s.Rae_core.Checkpoint.folds;
+  Alcotest.(check int) "one attach: the seed" 1 s.Rae_core.Checkpoint.attaches;
+  Alcotest.(check int) "no fallback" 0 s.Rae_core.Checkpoint.fallbacks;
+  Alcotest.(check int) "no poison" 0 s.Rae_core.Checkpoint.poisons
+
+(* A controller whose checkpoint device fails the first read of one
+   block, picked by [fault_block] once /f (inode 2, 8 KiB) is on the
+   device.  The base keeps its own healthy handle. *)
+let faulted_ckpt_controller ~fault_block =
+  let disk = Disk.create ~latency:Disk.zero_latency ~block_size:bs ~nblocks:2048 () in
+  let dev = Device.of_disk disk in
+  ignore (ok (Base.mkfs dev ~ninodes:256 ()));
+  let base =
+    ok
+      (Base.mount
+         ~config:{ Base.default_config with Base.commit_interval = max_int }
+         ~bugs:(arm [ "crafted-name-panic" ])
+         dev)
+  in
+  let sp = Spec.make () in
+  List.iter
+    (fun op ->
+      ignore (Base.exec base op);
+      ignore (Spec.exec sp op))
+    [
+      Op.Create (p "/f", 0o644);
+      Op.Open (p "/f", Types.flags_rw);
+      Op.Pwrite (0, 0, String.make 8192 'x');
+      Op.Close 0;
+      Op.Sync;
+    ];
+  let f =
+    Rae_block.Fault.create
+      [ Rae_block.Fault.Read_error { block = fault_block dev; from_nth = 1; count = 1 } ]
+  in
+  let ctl = Controller.make ~policy:ckpt_policy ~device:(Rae_block.Fault.wrap f dev) base in
+  (ctl, sp, f)
+
+(* Open, then preads until the first fold falls due (8 ops), then a
+   panic: the checkpoint is poisoned by then, so recovery runs cold on
+   the same (now healthy) device and must match the spec. *)
+let run_to_cold_recovery ctl sp =
+  let ops =
+    (Op.Open (p "/f", Types.flags_rw) :: List.init 7 (fun i -> Op.Pread (0, i * 100, 100)))
+    @ [ Op.Create (p "/pwn", 0o644); Op.Pread (0, 8000, 500); Op.Readdir (p "/") ]
+  in
+  List.iter
+    (fun op ->
+      let want = Spec.exec sp op and got = Controller.exec ctl op in
+      if not (Op.outcome_equal want got) then
+        Alcotest.failf "%s: spec %s, RAE %s" (Op.to_string op)
+          (Format.asprintf "%a" Op.pp_outcome want)
+          (Format.asprintf "%a" Op.pp_outcome got))
+    ops;
+  Alcotest.(check (option Alcotest.string)) "not degraded" None (Controller.degraded ctl);
+  Alcotest.(check int) "one recovery" 1 (Controller.stats ctl).Controller.recoveries;
+  (match Controller.last_recovery ctl with
+  | Some r -> Alcotest.(check bool) "recovered cold" false r.Report.r_seeded
+  | None -> Alcotest.fail "no recovery report");
+  let s = ckpt_stats ctl in
+  Alcotest.(check int) "one poison" 1 s.Rae_core.Checkpoint.poisons;
+  Alcotest.(check int) "not seeded" 0 s.Rae_core.Checkpoint.seeded;
+  Alcotest.(check int) "no fallback" 0 s.Rae_core.Checkpoint.fallbacks;
+  s
+
+(* The deferred attach reads the superblock first: failing that read
+   fails the attach when the first fold falls due. *)
+let test_attach_failure_poisons () =
+  let ctl, sp, f = faulted_ckpt_controller ~fault_block:(fun _ -> 0) in
+  let s = run_to_cold_recovery ctl sp in
+  Alcotest.(check int) "fault injected once" 1 (Rae_block.Fault.injected f);
+  Alcotest.(check int) "one attach" 1 s.Rae_core.Checkpoint.attaches;
+  Alcotest.(check int) "nothing folded" 0 s.Rae_core.Checkpoint.folds
+
+(* A device error while folding a pread poisons the fold instead of
+   being folded as an EIO answer. *)
+let test_fold_device_error_poisons () =
+  let phys dev =
+    let module Reader = Rae_format.Reader in
+    let r = ok (Reader.attach (Device.read dev)) in
+    ok (Reader.file_block r (ok (Reader.read_inode r 2)) 0)
+  in
+  let ctl, sp, f = faulted_ckpt_controller ~fault_block:phys in
+  let s = run_to_cold_recovery ctl sp in
+  Alcotest.(check int) "fault injected once" 1 (Rae_block.Fault.injected f);
+  Alcotest.(check int) "attached" 1 s.Rae_core.Checkpoint.attaches;
+  Alcotest.(check int) "the fold did not complete" 0 s.Rae_core.Checkpoint.folds
+
 let test_par_domains_must_be_one () =
   match mk ~policy:{ Controller.default_policy with Controller.par_domains = 2 } () with
   | _ -> Alcotest.fail "par_domains = 2 accepted"
@@ -752,6 +897,10 @@ let () =
             test_invalidation_adversary;
           Alcotest.test_case "par_domains other than 1 rejected" `Quick
             test_par_domains_must_be_one;
+          Alcotest.test_case "seed from a cut that never folded" `Quick test_seed_from_unfolded_cut;
+          Alcotest.test_case "attach failure poisons, recovery cold" `Quick
+            test_attach_failure_poisons;
+          Alcotest.test_case "device error poisons a fold" `Quick test_fold_device_error_poisons;
           q prop_checkpoint_replay_equivalence;
           q prop_checkpoint_controller_equivalence;
         ] );

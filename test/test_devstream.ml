@@ -2,15 +2,22 @@
    issues to its device — every read with the image it returned, every
    write with its image, every flush, in issue order — for a fixed set of
    runs through the controller under the shipped rfsd policy.  Each run's
-   stream is folded into one stdlib [Digest] (not [Checksum], so that a CRC
-   bug cannot hide itself) and compared against device_stream.golden.
+   stream is folded into stdlib [Digest]s (not [Checksum], so that a CRC
+   bug cannot hide itself) and compared against two golden files:
+
+   - device_stream.golden: the full stream, reads included;
+   - device_writes.golden: the writes and flushes alone — the persistence
+     stream, which is all that reaches the medium.
 
    A change that is meant to be invisible at the device (a faster encoder,
-   a different buffering scheme) must pass unchanged.  A change that
-   alters the on-disk protocol on purpose regenerates the golden file:
+   a different buffering scheme) must pass both unchanged.  A change that
+   moves only reads (when the shadow fetches a block) regenerates the
+   full-stream golden and must still pass the write golden unchanged; a
+   change to the on-disk protocol regenerates both:
 
      dune build test/test_devstream.exe
-     ./_build/default/test/test_devstream.exe --print > test/device_stream.golden *)
+     ./_build/default/test/test_devstream.exe --print > test/device_stream.golden
+     ./_build/default/test/test_devstream.exe --print-writes > test/device_writes.golden *)
 
 module Base = Rae_basefs.Base
 module Bug_registry = Rae_basefs.Bug_registry
@@ -23,13 +30,25 @@ let nblocks = 8192
 let ninodes = 1024
 let ops_per_run = 1500
 let golden_file = "device_stream.golden"
+let writes_golden_file = "device_writes.golden"
 
-type stream = { mutable digest : Digest.t; mutable requests : int }
+(* [digest]/[requests] cover every request; [wdigest]/[wrequests] only
+   the writes and flushes. *)
+type stream = {
+  mutable digest : Digest.t;
+  mutable requests : int;
+  mutable wdigest : Digest.t;
+  mutable wrequests : int;
+}
 
 let record st kind blk image =
   let img = match image with Some b -> Digest.bytes b | None -> "" in
   st.digest <- Digest.string (Printf.sprintf "%s%c%d:%s" st.digest kind blk img);
-  st.requests <- st.requests + 1
+  st.requests <- st.requests + 1;
+  if kind <> 'R' then begin
+    st.wdigest <- Digest.string (Printf.sprintf "%s%c%d:%s" st.wdigest kind blk img);
+    st.wrequests <- st.wrequests + 1
+  end
 
 let logging st (d : Device.t) : Device.t =
   {
@@ -54,7 +73,7 @@ let rfsd_policy = { Controller.default_policy with Controller.ckpt_enabled = tru
 (* mkfs and mount go through the logged device too: both are part of the
    stream a deployment issues. *)
 let run ?(bugs = []) ops =
-  let st = { digest = ""; requests = 0 } in
+  let st = { digest = ""; requests = 0; wdigest = ""; wrequests = 0 } in
   let disk =
     Disk.create ~latency:Disk.zero_latency ~block_size:Rae_format.Layout.block_size ~nblocks ()
   in
@@ -67,8 +86,9 @@ let run ?(bugs = []) ops =
   let ctl = Controller.make ~policy:rfsd_policy ~device:dev base in
   List.iter (fun op -> ignore (Controller.exec ctl op)) ops;
   ignore (Base.unmount (Controller.base ctl));
-  let s = Controller.stats ctl in
-  (Digest.to_hex st.digest, st.requests, s.Controller.recoveries)
+  let recoveries = (Controller.stats ctl).Controller.recoveries in
+  ( (Digest.to_hex st.digest, st.requests, recoveries),
+    (Digest.to_hex st.wdigest, st.wrequests, recoveries) )
 
 let runs =
   let rng seed = Rae_util.Rng.create seed in
@@ -88,8 +108,8 @@ let runs =
 let line name (digest, requests, recoveries) =
   Printf.sprintf "%s %s %d %d" name digest requests recoveries
 
-let read_golden () =
-  let ic = open_in golden_file in
+let read_golden file =
+  let ic = open_in file in
   let rec go acc =
     match input_line ic with
     | l -> (
@@ -102,18 +122,27 @@ let read_golden () =
   in
   go []
 
-let test_run name f () =
-  let golden = read_golden () in
+(* Each run is executed once; both suites read its memoized result. *)
+let results = List.map (fun (name, f) -> (name, lazy (f ()))) runs
+
+let test_run ~file ~what pick name r () =
+  let golden = read_golden file in
   match List.assoc_opt name golden with
-  | None -> Alcotest.failf "%s: no golden line in %s" name golden_file
-  | Some want -> Alcotest.(check string) (name ^ " device stream") want (line name (f ()))
+  | None -> Alcotest.failf "%s: no golden line in %s" name file
+  | Some want -> Alcotest.(check string) (name ^ " " ^ what) want (line name (pick (Lazy.force r)))
 
 let () =
-  if Array.mem "--print" Sys.argv then
-    List.iter (fun (name, f) -> print_endline (line name (f ()))) runs
+  let print pick = List.iter (fun (name, r) -> print_endline (line name (pick (Lazy.force r)))) results in
+  if Array.mem "--print" Sys.argv then print fst
+  else if Array.mem "--print-writes" Sys.argv then print snd
   else
+    let suite ~file ~what pick =
+      List.map
+        (fun (name, r) -> Alcotest.test_case name `Quick (test_run ~file ~what pick name r))
+        results
+    in
     Alcotest.run "rae_devstream"
       [
-        ( "devstream",
-          List.map (fun (name, f) -> Alcotest.test_case name `Quick (test_run name f)) runs );
+        ("devstream", suite ~file:golden_file ~what:"device stream" fst);
+        ("devstream-writes", suite ~file:writes_golden_file ~what:"write and flush stream" snd);
       ]

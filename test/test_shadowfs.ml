@@ -8,7 +8,10 @@ module Shadow = Rae_shadowfs.Shadow
 module Overlay = Rae_shadowfs.Overlay
 module Disk = Rae_block.Disk
 module Device = Rae_block.Device
+module Fault = Rae_block.Fault
+module Crashsim = Rae_block.Crashsim
 module Layout = Rae_format.Layout
+module Reader = Rae_format.Reader
 
 let p = Path.parse_exn
 let bs = Layout.block_size
@@ -42,6 +45,31 @@ let test_overlay_sorted_dirty () =
   let ov = Overlay.create dev in
   List.iter (fun b -> Overlay.write ov b (Bytes.make bs 'x')) [ 300; 100; 200 ];
   Alcotest.(check (list int)) "sorted" [ 100; 200; 300 ] (List.map fst (Overlay.dirty ov))
+
+(* A view that misses reads into the overlay's scratch block; a nested
+   miss must not overwrite the block the outer view is reading, and an
+   exception must not leave the scratch block taken. *)
+let test_overlay_view_scratch () =
+  let disk, dev = mk_image () in
+  Disk.write disk 1000 (Bytes.make bs 'A');
+  Disk.write disk 1001 (Bytes.make bs 'B');
+  let ov = Overlay.create dev in
+  let outer0, inner, outer1 =
+    Overlay.view ov 1000 (fun outer ->
+        let o0 = Bytes.get outer 0 in
+        let inner = Overlay.view ov 1001 (fun b -> Bytes.get b (bs - 1)) in
+        (o0, inner, Bytes.get outer (bs - 1)))
+  in
+  Alcotest.(check (list char)) "outer kept under a nested miss" [ 'A'; 'B'; 'A' ] [ outer0; inner; outer1 ];
+  (match Overlay.view ov 1001 (fun _ -> failwith "reader failed") with
+  | _ -> Alcotest.fail "exception swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check char) "next miss after an exception" 'B' (Overlay.view ov 1001 (fun b -> Bytes.get b 7));
+  Alcotest.(check char) "and again" 'A' (Overlay.view ov 1000 (fun b -> Bytes.get b 7));
+  Overlay.write ov 1000 (Bytes.make bs 'C');
+  Alcotest.(check char) "overlay content wins" 'C' (Overlay.view ov 1000 (fun b -> Bytes.get b 7));
+  Alcotest.(check int) "misses counted" 5 (Overlay.reads_from_device ov);
+  Alcotest.(check char) "device untouched" 'A' (Bytes.get (Disk.read disk 1000) 0)
 
 (* ---- shadow never writes ---- *)
 
@@ -349,6 +377,155 @@ let test_fd_table_exposed () =
   | other -> Alcotest.failf "unexpected fd table size %d" (List.length other));
   ignore (ok (Shadow.close sh fd))
 
+(* ---- reads through views: device faults, crash buffers, in-place compare ---- *)
+
+(* An image whose /f (inode 2) has data and holes on the device itself,
+   in direct and indirect blocks: a shadow builds it in its overlay and
+   the overlay is written to the disk.  Logical blocks 0, 2, 4-6, 13 and
+   15 hold data; 1, 3, 7-12 and 14 are holes. *)
+let sparse_size = (15 * bs) + 100
+
+let mk_sparse_image () =
+  let disk, dev = mk_image () in
+  let sh = ok (Shadow.attach dev) in
+  let fd = ok (Shadow.openf sh (p "/f") Types.flags_create) in
+  List.iter
+    (fun (off, len, c) -> ignore (ok (Shadow.pwrite sh fd ~off (String.make len c))))
+    [ (100, 3000, 'a'); (2 * bs, bs, 'b'); ((5 * bs) - 7, bs + 14, 'c'); ((13 * bs) + 5, 600, 'd');
+      (15 * bs, 100, 'e') ];
+  ignore (ok (Shadow.close sh fd));
+  List.iter (fun (blk, data) -> Disk.write disk blk data) (Shadow.dirty_blocks sh);
+  (disk, dev)
+
+(* The physical block behind logical block [idx] of /f. *)
+let phys_of dev idx =
+  let r = ok (Reader.attach (Device.read dev)) in
+  ok (Reader.file_block r (ok (Reader.read_inode r 2)) idx)
+
+let recorded op outcome = { Op.op; outcome; seq = 0 }
+
+let test_pread_io_error () =
+  let _disk, dev = mk_sparse_image () in
+  let phys = phys_of dev 0 in
+  let want = String.make 100 '\000' ^ String.make 100 'a' in
+  let f = Fault.create [ Fault.Read_error { block = phys; from_nth = 1; count = 2 } ] in
+  let sh = ok (Shadow.attach (Fault.wrap f dev)) in
+  let fd = ok (Shadow.openf sh (p "/f") Types.flags_ro) in
+  Alcotest.(check bool) "pread answers EIO" true
+    (Shadow.pread sh fd ~off:0 ~len:200 = Error Errno.EIO);
+  (match Shadow.exec_constrained sh (recorded (Op.Pread (fd, 0, 200)) (Ok (Op.Data want))) with
+  | Shadow.Divergence (Error Errno.EIO) -> ()
+  | _ -> Alcotest.fail "in-place compare must answer EIO as pread does");
+  Alcotest.(check bool) "fault spent: the block reads again" true
+    (Shadow.pread sh fd ~off:0 ~len:200 = Ok want);
+  (* Inside a fold window the device error escapes instead of becoming
+     the op's answer: the checkpoint poisons on it. *)
+  let f = Fault.create [ Fault.Read_error { block = phys; from_nth = 1; count = 1 } ] in
+  let sh = ok (Shadow.attach (Fault.wrap f dev)) in
+  let fd = ok (Shadow.openf sh (p "/f") Types.flags_ro) in
+  (match
+     Shadow.exec_constrained_window sh [ recorded (Op.Pread (fd, 0, 200)) (Ok (Op.Data want)) ]
+   with
+  | _ -> Alcotest.fail "device error folded as an answer"
+  | exception Device.Io_error _ -> ());
+  (* The same for an op answered by building its outcome: a lookup that
+     cannot read the root directory. *)
+  let root_dir =
+    let r = ok (Reader.attach (Device.read dev)) in
+    ok (Reader.file_block r (ok (Reader.read_inode r Types.root_ino)) 0)
+  in
+  let f = Fault.create [ Fault.Read_error { block = root_dir; from_nth = 1; count = 2 } ] in
+  let sh = ok (Shadow.attach (Fault.wrap f dev)) in
+  let stat = Op.Stat (p "/f") in
+  Alcotest.(check bool) "outside a window: EIO" true (Shadow.exec sh stat = Error Errno.EIO);
+  match Shadow.exec_constrained_window sh [ recorded stat (Ok Op.Unit) ] with
+  | _ -> Alcotest.fail "device error folded as an answer"
+  | exception Device.Io_error _ -> ()
+
+let test_crashsim_unflushed_visible () =
+  let _disk, dev = mk_sparse_image () in
+  let phys = phys_of dev 2 in
+  let sim, cdev = Crashsim.create dev in
+  Device.write cdev phys (Bytes.make bs 'U');
+  let sh = ok (Shadow.attach cdev) in
+  let fd = ok (Shadow.openf sh (p "/f") Types.flags_ro) in
+  Alcotest.(check bool) "pread sees the buffered write" true
+    (Shadow.pread sh fd ~off:(2 * bs) ~len:4 = Ok "UUUU");
+  (match Shadow.exec_constrained sh (recorded (Op.Pread (fd, 2 * bs, 4)) (Ok (Op.Data "UUUU"))) with
+  | Shadow.Matches -> ()
+  | _ -> Alcotest.fail "in-place compare must see the buffered write");
+  Crashsim.crash sim;
+  let sh = ok (Shadow.attach cdev) in
+  let fd = ok (Shadow.openf sh (p "/f") Types.flags_ro) in
+  Alcotest.(check bool) "after the crash the medium's block" true
+    (Shadow.pread sh fd ~off:(2 * bs) ~len:4 = Ok "bbbb")
+
+(* A shadow over the sparse image with some blocks moved into the
+   overlay, so a compare reads device blocks (scratch views), overlay
+   blocks and holes; [fd] reads, [wfd] cannot. *)
+let compare_fixture () =
+  let _disk, dev = mk_sparse_image () in
+  let sh = ok (Shadow.attach dev) in
+  let fd = ok (Shadow.openf sh (p "/f") Types.flags_rw) in
+  ignore (ok (Shadow.pwrite sh fd ~off:((3 * bs) + 10) "overlay"));
+  ignore (ok (Shadow.pwrite sh fd ~off:(5 * bs) "OV"));
+  let wfd = ok (Shadow.openf sh (p "/f") { Types.flags_rw with Types.rd = false }) in
+  (sh, fd, wfd)
+
+(* The in-place compare must give the verdict building the answer and
+   comparing it gives, and the same outcome on a divergence. *)
+let same_verdict sh op want_outcome =
+  let truth = Shadow.exec sh op in
+  let built = if Op.outcome_equal want_outcome truth then None else Some truth in
+  match (Shadow.exec_constrained sh (recorded op want_outcome), built) with
+  | Shadow.Matches, None -> true
+  | Shadow.Divergence o, Some t -> Op.outcome_equal o t
+  | _ -> false
+
+let corrupt s k =
+  let b = Bytes.of_string s in
+  Bytes.set b k (Char.chr (Char.code (Bytes.get b k) lxor 1));
+  Bytes.to_string b
+
+let prop_in_place_compare =
+  let sh, fd, wfd = compare_fixture () in
+  QCheck2.Test.make ~name:"in-place pread compare = build and compare" ~count:500
+    QCheck2.Gen.(
+      quad (int_range 0 2)
+        (int_range (-2) (sparse_size + (2 * bs)))
+        (oneof [ pure 0; int_range 0 ((3 * bs) + 20) ])
+        (pair (int_range 0 4) nat))
+    (fun (which, off, len, (mutation, k)) ->
+      let fd = match which with 0 -> fd | 1 -> wfd | _ -> 99 in
+      let op = Op.Pread (fd, off, len) in
+      let s = match Shadow.exec sh op with Ok (Op.Data s) -> s | _ -> "x" in
+      let n = String.length s in
+      let s =
+        match mutation with
+        | 1 when n > 0 -> corrupt s (k mod n)
+        | 2 when n > 0 -> String.sub s 0 (n - 1)
+        | 3 -> s ^ "\000"
+        | 4 -> ""
+        | _ -> s
+      in
+      same_verdict sh op (Ok (Op.Data s)))
+
+(* Every byte position of a device block, a hole and an overlay block,
+   and the seams between them: a one-byte corruption anywhere is a
+   divergence carrying the real answer. *)
+let test_in_place_compare_every_position () =
+  let sh, fd, _ = compare_fixture () in
+  List.iter
+    (fun (off, len) ->
+      let op = Op.Pread (fd, off, len) in
+      let s = match Shadow.exec sh op with Ok (Op.Data s) -> s | _ -> Alcotest.fail "pread" in
+      Alcotest.(check bool) "exact answer matches" true (same_verdict sh op (Ok (Op.Data s)));
+      for k = 0 to String.length s - 1 do
+        if not (same_verdict sh op (Ok (Op.Data (corrupt s k)))) then
+          Alcotest.failf "pread %d+%d: corruption at %d not reported as the real answer" off len k
+      done)
+    [ (bs - 10, (2 * bs) + 20); (5 * bs, bs); (0, bs); (sparse_size - 50, 200) ]
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rae_shadowfs"
@@ -357,6 +534,7 @@ let () =
         [
           Alcotest.test_case "copy-on-write" `Quick test_overlay_cow;
           Alcotest.test_case "dirty sorted" `Quick test_overlay_sorted_dirty;
+          Alcotest.test_case "view scratch block" `Quick test_overlay_view_scratch;
         ] );
       ( "shadow",
         [
@@ -365,6 +543,15 @@ let () =
           Alcotest.test_case "indirect blocks" `Quick test_shadow_large_file_indirect;
           Alcotest.test_case "ENOSPC" `Quick test_shadow_enospc;
           Alcotest.test_case "fd table" `Quick test_fd_table_exposed;
+        ] );
+      ( "views",
+        [
+          Alcotest.test_case "device error is EIO, escapes a window" `Quick test_pread_io_error;
+          Alcotest.test_case "unflushed crashsim write visible" `Quick
+            test_crashsim_unflushed_visible;
+          Alcotest.test_case "in-place compare, every position" `Quick
+            test_in_place_compare_every_position;
+          q prop_in_place_compare;
         ] );
       ( "checks",
         [
