@@ -372,38 +372,6 @@ let e3_micro () =
         rows
 
 (* ---------------------------------------------------------------- *)
-(* E4: operation-recording overhead                                  *)
-(* ---------------------------------------------------------------- *)
-
-let e4_record_overhead () =
-  section "E4 | RAE common-path overhead: operation recording on vs off";
-  Printf.printf "%-12s %14s %14s %10s\n" "workload" "raw base" "base+RAE" "overhead";
-  List.iter
-    (fun profile ->
-      let ops = W.ops profile (Rae_util.Rng.create 7L) ~count:(sc 2000) in
-      let n = float_of_int (List.length ops) in
-      let raw_t =
-        time_runs ~reps:(reps 3) (fun () ->
-            let _, _, b = fresh_base () in
-            run_ops Base.exec b ops)
-      in
-      let rae_t =
-        time_runs ~reps:(reps 3) (fun () ->
-            let _, dev, b = fresh_base () in
-            let ctl = Controller.make ~device:dev b in
-            run_ops Controller.exec ctl ops)
-      in
-      json_note ~sec:"E4" ~name:(W.profile_name profile ^ "/raw") ~unit:"ops_per_s" (n /. raw_t);
-      json_note ~sec:"E4" ~name:(W.profile_name profile ^ "/rae") ~unit:"ops_per_s" (n /. rae_t);
-      Printf.printf "%-12s %12.0f/s %12.0f/s %9.1f%%\n" (W.profile_name profile) (n /. raw_t)
-        (n /. rae_t)
-        ((rae_t -. raw_t) /. raw_t *. 100.))
-    [ W.Varmail; W.Fileserver; W.Metadata ];
-  Printf.printf
-    "\nExpected shape: recording is an in-memory append; overhead within a few\n\
-     percent (measurement noise dominates at these run lengths).\n"
-
-(* ---------------------------------------------------------------- *)
 (* E5: recovery latency vs recorded-window length                    *)
 (* ---------------------------------------------------------------- *)
 
@@ -550,8 +518,7 @@ let e_ckpt () =
 (* ---------------------------------------------------------------- *)
 
 (* Both arms run in this process on the same images, so the speedup is a
-   host-independent shape (same local-replication scheme as E-alloc and
-   E-txn): [fast_paths=false] is the seed's literal walk-and-scan
+   host-independent shape: [fast_paths=false] is the seed's literal walk-and-scan
    execution, [fast_paths=true] the cached one, property-tested
    equivalent in test_shadowfs. *)
 let e_shadow () =
@@ -888,27 +855,21 @@ let e8_availability () =
 
 let e9_cross_check () =
   section "E9 | Cross-checking: discrepancy detection (paper 4.3, post-error testing)";
-  let run ~cross_check =
-    let bugs =
-      Bug_registry.arm ~rng:(Rae_util.Rng.create 9L)
-        (List.filter_map Bug_registry.find [ "stat-size-skew"; "crafted-name-panic" ])
-    in
-    let _, dev, b = fresh_base ~bugs () in
-    let policy = { Controller.default_policy with Controller.cross_check } in
-    let ctl = Controller.make ~policy ~device:dev b in
-    let fd = ok (Controller.openf ctl (p "/f") Types.flags_create) in
-    ignore (ok (Controller.pwrite ctl fd ~off:0 "12345"));
-    ignore (ok (Controller.close ctl fd));
-    for _ = 1 to 20 do
-      ignore (Controller.stat ctl (p "/f"))
-    done;
-    ignore (Controller.create ctl (p "/pwn") ~mode:0o644);
-    List.length (Controller.discrepancies ctl)
+  let bugs =
+    Bug_registry.arm ~rng:(Rae_util.Rng.create 9L)
+      (List.filter_map Bug_registry.find [ "stat-size-skew"; "crafted-name-panic" ])
   in
-  Printf.printf "wrong-result bugs exposed with cross-check ON : %d discrepancy report(s)\n"
-    (run ~cross_check:true);
-  Printf.printf "wrong-result bugs exposed with cross-check OFF: %d discrepancy report(s)\n"
-    (run ~cross_check:false);
+  let _, dev, b = fresh_base ~bugs () in
+  let ctl = Controller.make ~device:dev b in
+  let fd = ok (Controller.openf ctl (p "/f") Types.flags_create) in
+  ignore (ok (Controller.pwrite ctl fd ~off:0 "12345"));
+  ignore (ok (Controller.close ctl fd));
+  for _ = 1 to 20 do
+    ignore (Controller.stat ctl (p "/f"))
+  done;
+  ignore (Controller.create ctl (p "/pwn") ~mode:0o644);
+  Printf.printf "wrong-result bugs exposed by cross-checking: %d discrepancy report(s)\n"
+    (List.length (Controller.discrepancies ctl));
   Printf.printf
     "\nExpected shape: the wrong-result bug (invisible to in-line detection) is\n\
      surfaced by constrained-mode cross-checking during an unrelated recovery.\n"
@@ -1051,145 +1012,6 @@ let e11_vs_restart_only () =
      volatile window and every open descriptor — applications see wrong results\n\
      and EIO storms — while RAE masks everything.  This is the availability gap\n\
      the shadow filesystem exists to close.\n"
-
-(* ---------------------------------------------------------------- *)
-(* E-alloc: bitmap allocator, seed bit-scan vs word-scan vs rotor    *)
-(* ---------------------------------------------------------------- *)
-
-let e_alloc () =
-  section "E-alloc | block allocator: bit-at-a-time scan vs word scan vs next-fit rotor";
-  let module Bitmap = Rae_format.Bitmap in
-  let nbits = 8192 in
-  let allocs = sc 4096 in
-  (* The seed allocator: probe each bit from [from] upward.  Kept here as
-     the before-side of the comparison. *)
-  let naive_find_free bm ~from =
-    let n = Bitmap.nbits bm in
-    let rec go i = if i >= n then None else if not (Bitmap.test bm i) then Some i else go (i + 1) in
-    if from >= n then None else go from
-  in
-  let drain find =
-    let bm = Bitmap.create ~nbits in
-    fun () ->
-      Bitmap.reset_cursor bm;
-      for i = 0 to nbits - 1 do
-        if Bitmap.test bm i then Bitmap.clear bm i
-      done;
-      for _ = 1 to allocs do
-        match find bm with Some i -> Bitmap.set bm i | None -> failwith "bitmap full"
-      done
-  in
-  let n = float_of_int allocs in
-  let t_seed = time_runs ~reps:(reps 3) (drain (fun bm -> naive_find_free bm ~from:0)) in
-  let t_word = time_runs ~reps:(reps 3) (drain (fun bm -> Bitmap.find_free bm ~from:0)) in
-  let t_rotor = time_runs ~reps:(reps 3) (drain (fun bm -> Bitmap.find_free_next bm ~lo:0)) in
-  Printf.printf "%d allocations, %d-bit bitmap (first-fit fills a growing prefix):\n" allocs nbits;
-  Printf.printf "  seed bit-scan first-fit : %12.0f allocs/s\n" (n /. t_seed);
-  Printf.printf "  word-scan first-fit     : %12.0f allocs/s  (%.1fx)\n" (n /. t_word)
-    (t_seed /. t_word);
-  Printf.printf "  word-scan next-fit rotor: %12.0f allocs/s  (%.1fx)\n" (n /. t_rotor)
-    (t_seed /. t_rotor);
-  json_note ~sec:"E-alloc" ~name:"seed-bit-scan" ~unit:"allocs_per_s" (n /. t_seed);
-  json_note ~sec:"E-alloc" ~name:"word-scan" ~unit:"allocs_per_s" (n /. t_word);
-  json_note ~sec:"E-alloc" ~name:"word-scan+rotor" ~unit:"allocs_per_s" (n /. t_rotor);
-  json_note ~sec:"E-alloc" ~name:"rotor-speedup-vs-seed" ~unit:"ratio" (t_seed /. t_rotor);
-  Printf.printf
-    "\nExpected shape: the seed scan re-walks the allocated prefix on every probe\n\
-     (quadratic in allocations); the word scan skips it 64 bits at a time and the\n\
-     rotor resumes where the last allocation left off (near-constant per alloc).\n"
-
-(* ---------------------------------------------------------------- *)
-(* E-txn: journal transaction buffering, list walks vs Hashtbl index *)
-(* ---------------------------------------------------------------- *)
-
-let e_txn () =
-  section "E-txn | journal txn buffering: list filter/append vs Hashtbl-indexed slots";
-  let module Journal = Rae_journal.Journal in
-  let nhomes = 400 in
-  let passes = sc 8 in
-  let img = Bytes.make bs 'j' in
-  (* The seed txn_write: drop any earlier image of the block from the list,
-     append the new one at the tail — O(n) filter + O(n) append per call. *)
-  let seed_pass () =
-    let writes = ref [] in
-    for _pass = 1 to passes do
-      for home = 0 to nhomes - 1 do
-        writes := List.filter (fun (b, _) -> b <> home) !writes @ [ (home, Bytes.copy img) ]
-      done
-    done;
-    ignore (List.length !writes)
-  in
-  let disk = mk_disk ~nblocks:512 () in
-  let dev = Device.of_disk disk in
-  let g = ok (Layout.compute ~nblocks:512 ~ninodes:64 ~journal_len:16 ()) in
-  Journal.format dev g;
-  let j = ok (Journal.attach dev g) in
-  let indexed_pass () =
-    let txn = Journal.begin_txn j in
-    for _pass = 1 to passes do
-      for home = 0 to nhomes - 1 do
-        Journal.txn_write txn (g.Layout.data_start + home) img
-      done
-    done;
-    Journal.abort j txn
-  in
-  let calls = float_of_int (nhomes * passes) in
-  let t_seed = time_runs ~reps:(reps 3) seed_pass in
-  let t_indexed = time_runs ~reps:(reps 3) indexed_pass in
-  Printf.printf "%d txn_write calls (%d homes, %d rewrite passes):\n" (nhomes * passes) nhomes
-    passes;
-  Printf.printf "  seed list filter+append : %12.0f writes/s\n" (calls /. t_seed);
-  Printf.printf "  Hashtbl-indexed slots   : %12.0f writes/s  (%.1fx)\n" (calls /. t_indexed)
-    (t_seed /. t_indexed);
-  json_note ~sec:"E-txn" ~name:"seed-list" ~unit:"writes_per_s" (calls /. t_seed);
-  json_note ~sec:"E-txn" ~name:"indexed" ~unit:"writes_per_s" (calls /. t_indexed);
-  json_note ~sec:"E-txn" ~name:"speedup" ~unit:"ratio" (t_seed /. t_indexed);
-  Printf.printf
-    "\nExpected shape: rewriting hot metadata blocks inside one transaction is the\n\
-     common journaling pattern; the list walk pays O(buffered blocks) per write,\n\
-     the index overwrites a slot in place.\n"
-
-(* ---------------------------------------------------------------- *)
-(* E-oplog: op recording, list cons + List.length vs growable array  *)
-(* ---------------------------------------------------------------- *)
-
-let e_oplog () =
-  section "E-oplog | op-log recording: list + List.length vs growable array + counter";
-  let module Oplog = Rae_core.Oplog in
-  let nops = sc 20000 in
-  (* The seed oplog: cons onto a list; [length] (polled by the controller's
-     commit policy) re-walked the whole window. *)
-  let seed_pass () =
-    let entries = ref [] in
-    for i = 1 to nops do
-      entries := (Op.Sync, (Ok Op.Unit : Op.outcome), i) :: !entries;
-      ignore (List.length !entries)
-    done;
-    ignore (List.rev !entries)
-  in
-  let array_pass () =
-    let log = Oplog.create () in
-    for _ = 1 to nops do
-      Oplog.record log Op.Sync (Ok Op.Unit);
-      ignore (Oplog.length log)
-    done;
-    ignore (Oplog.entries log);
-    Oplog.checkpoint log ~fds:[]
-  in
-  let n = float_of_int nops in
-  let t_seed = time_runs ~reps:(reps 3) seed_pass in
-  let t_array = time_runs ~reps:(reps 3) array_pass in
-  Printf.printf "%d records, window length polled after each (commit-policy pattern):\n" nops;
-  Printf.printf "  seed list + List.length  : %12.0f records/s\n" (n /. t_seed);
-  Printf.printf "  array + running counter  : %12.0f records/s  (%.1fx)\n" (n /. t_array)
-    (t_seed /. t_array);
-  json_note ~sec:"E-oplog" ~name:"seed-list" ~unit:"records_per_s" (n /. t_seed);
-  json_note ~sec:"E-oplog" ~name:"array-counter" ~unit:"records_per_s" (n /. t_array);
-  json_note ~sec:"E-oplog" ~name:"speedup" ~unit:"ratio" (t_seed /. t_array);
-  Printf.printf
-    "\nExpected shape: the window is polled once per operation, so the seed pays\n\
-     O(window) per record — quadratic across a commit interval; the counter makes\n\
-     recording flat regardless of window length.\n"
 
 (* ---------------------------------------------------------------- *)
 (* E-obs: observability — instrumentation cost and trace validity    *)
@@ -1798,30 +1620,37 @@ let () =
   in
   let json_path, sels = parse None [] (List.tl (Array.to_list Sys.argv)) in
   if !quick then Printf.printf "(--quick: scaled-down smoke run; numbers are noise)\n";
-  let want name = sels = [] || List.mem name sels in
-  if want "e1" then e1_table1 ();
-  if want "e2" then e2_fig1 ();
-  if want "e3" then begin
-    e3_micro ();
-    e3_base_vs_shadow ()
-  end;
-  if want "e4" then e4_record_overhead ();
-  if want "e5" then e5_recovery_latency ();
-  if want "e-ckpt" then e_ckpt ();
-  if want "e-shadow" then e_shadow ();
-  if want "e6" then e6_check_cost ();
-  if want "e7" then e7_lookup_depth ();
-  if want "e8" then e8_availability ();
-  if want "e9" then e9_cross_check ();
-  if want "e10" then e10_cache_policy ();
-  if want "e11" then e11_vs_restart_only ();
-  if want "e-alloc" then e_alloc ();
-  if want "e-txn" then e_txn ();
-  if want "e-oplog" then e_oplog ();
-  if want "e-obs" then e_obs ();
-  if want "e-srv" then e_srv ();
-  if want "e-lint" then e_lint ();
-  if want "e-crash" then e_crash ();
+  let sections =
+    [
+      ("e1", e1_table1);
+      ("e2", e2_fig1);
+      ( "e3",
+        fun () ->
+          e3_micro ();
+          e3_base_vs_shadow () );
+      ("e5", e5_recovery_latency);
+      ("e-ckpt", e_ckpt);
+      ("e-shadow", e_shadow);
+      ("e6", e6_check_cost);
+      ("e7", e7_lookup_depth);
+      ("e8", e8_availability);
+      ("e9", e9_cross_check);
+      ("e10", e10_cache_policy);
+      ("e11", e11_vs_restart_only);
+      ("e-obs", e_obs);
+      ("e-srv", e_srv);
+      ("e-lint", e_lint);
+      ("e-crash", e_crash);
+    ]
+  in
+  (match List.filter (fun sel -> not (List.mem_assoc sel sections)) sels with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "bench: unknown section(s): %s\nknown sections: %s\n"
+        (String.concat " " unknown)
+        (String.concat " " (List.map fst sections));
+      exit 2);
+  List.iter (fun (name, run) -> if sels = [] || List.mem name sels then run ()) sections;
   Printf.printf "\nAll requested benches complete.\n";
   Option.iter
     (fun path ->

@@ -219,9 +219,10 @@ let run_daemon path bug_ids seed batch_max bundle_dir =
   (* Warm-shadow checkpointing keeps recovery replay O(Δ): clients see
      shorter Busy windows when a bug fires mid-serving. *)
   let policy = { Controller.default_policy with Controller.ckpt_enabled = true } in
-  (* Always-on observability: a bounded tracer (the ring cap holds the
-     daemon's memory constant no matter how long it serves), the flight
-     recorder, and a bundle directory for postmortems. *)
+  (* Observability: the flight recorder and a bundle directory for
+     postmortems are always on.  The bounded tracer is attached but starts
+     disabled, and nothing here enables or exports it, so it records no
+     spans; the controller takes its clock from it. *)
   let tracer = Rae_obs.Tracer.create ~max_events:65536 () in
   let events = Rae_obs.Events.create ~capacity:4096 () in
   let run_id = Printf.sprintf "rfsd-%d-%.0f" (Unix.getpid ()) (Unix.time ()) in

@@ -48,20 +48,14 @@ type t = {
   mutable s_poisons : int;
 }
 
-let create ?tracer ?events ?(fast_paths = true) ~shadow_checks ~fold_interval device =
+let create ?tracer ?events ?(fast_paths = true) ~fold_interval device =
   {
     device;
     (* Never fsck on the warm path: the attach re-reads only the
        superblock and bitmaps (strict), and every folded op runs under
        the shadow's full runtime checks — continuous validation in place
        of the cold path's up-front scan. *)
-    config =
-      {
-        Shadow.default_config with
-        Shadow.checks = shadow_checks;
-        fsck_on_attach = false;
-        fast_paths;
-      };
+    config = { Shadow.default_config with Shadow.fsck_on_attach = false; fast_paths };
     tracer;
     events;
     fold_interval = max 1 fold_interval;

@@ -59,13 +59,12 @@ val create :
   ?tracer:Rae_obs.Tracer.t ->
   ?events:Rae_obs.Events.t ->
   ?fast_paths:bool ->
-  shadow_checks:bool ->
   fold_interval:int ->
   Rae_block.Device.t ->
   t
-(** No checkpoint exists until the first {!cut}.  [shadow_checks] is the
-    controller's shadow-check policy; the warm instance always attaches
-    without fsck (the fold's continuous validation substitutes).
+(** No checkpoint exists until the first {!cut}.  The warm instance runs
+    the shadow's full runtime checks and always attaches without fsck
+    (the fold's continuous validation substitutes).
     [fast_paths] (default [true]) controls the warm shadow's caching fast
     paths — disabling it reproduces the naive shadow, which the benches
     use to price the fold before/after the fast-path work.  [events] is

@@ -4,33 +4,16 @@ module Detector = Rae_basefs.Detector
 module Shadow = Rae_shadowfs.Shadow
 
 type policy = {
-  treat_warnings_as_errors : bool;
-  fsck_before_recovery : bool;
-  cross_check : bool;
-  abort_on_discrepancy : bool;
-  max_recovery_attempts : int;
-  shadow_checks : bool;
   ckpt_enabled : bool;
   ckpt_fold_interval : int;
   ckpt_fast_paths : bool;
-  slow_op_ns : int;
   par_domains : int;  (* must be 1; see the interface *)
 }
 
 let default_policy =
-  {
-    treat_warnings_as_errors = true;
-    fsck_before_recovery = true;
-    cross_check = true;
-    abort_on_discrepancy = false;
-    max_recovery_attempts = 3;
-    shadow_checks = true;
-    ckpt_enabled = false;
-    ckpt_fold_interval = 32;
-    ckpt_fast_paths = true;
-    slow_op_ns = 10_000_000;
-    par_domains = 1;
-  }
+  { ckpt_enabled = false; ckpt_fold_interval = 32; ckpt_fast_paths = true; par_domains = 1 }
+
+let slow_op_threshold_ns = 10_000_000
 
 type stats = {
   ops : int;
@@ -111,7 +94,7 @@ let make ?(policy = default_policy) ?tracer ?events ?bundle_dir ?(run_id = "") ~
     if policy.ckpt_enabled then
       Some
         (Checkpoint.create ?tracer ?events ~fast_paths:policy.ckpt_fast_paths
-           ~shadow_checks:policy.shadow_checks ~fold_interval:policy.ckpt_fold_interval device)
+           ~fold_interval:policy.ckpt_fold_interval device)
     else None
   in
   let t =
@@ -187,16 +170,9 @@ module J = Rae_obs.Jsonx
 let policy_json p =
   J.Obj
     [
-      ("treat_warnings_as_errors", J.Bool p.treat_warnings_as_errors);
-      ("fsck_before_recovery", J.Bool p.fsck_before_recovery);
-      ("cross_check", J.Bool p.cross_check);
-      ("abort_on_discrepancy", J.Bool p.abort_on_discrepancy);
-      ("max_recovery_attempts", J.Int p.max_recovery_attempts);
-      ("shadow_checks", J.Bool p.shadow_checks);
       ("ckpt_enabled", J.Bool p.ckpt_enabled);
       ("ckpt_fold_interval", J.Int p.ckpt_fold_interval);
       ("ckpt_fast_paths", J.Bool p.ckpt_fast_paths);
-      ("slow_op_ns", J.Int p.slow_op_ns);
     ]
 
 let report_json (r : Report.recovery) =
@@ -354,24 +330,21 @@ let run_constrained t shadow entries =
       | Shadow.Skipped_error | Shadow.Skipped_sync -> incr skipped
       | Shadow.Matches -> incr replayed
       | Shadow.Divergence shadow_outcome ->
+          (* The shadow's answer wins; the mismatch is reported (§4.3). *)
           incr replayed;
-          if t.policy.cross_check then begin
-            let d =
-              { Report.d_seq = seq; d_op = op; d_base = outcome; d_shadow = shadow_outcome }
-            in
-            discrepancies := d :: !discrepancies;
-            if t.policy.abort_on_discrepancy then
-              raise
-                (Recovery_error
-                   (Format.asprintf "cross-check mismatch: %a" Report.pp_discrepancy d))
-          end)
+          discrepancies :=
+            { Report.d_seq = seq; d_op = op; d_base = outcome; d_shadow = shadow_outcome }
+            :: !discrepancies)
     entries;
   (!replayed, !skipped, List.rev !discrepancies)
 
-(* The full §3.2 protocol.  Returns the in-flight operation's outcome. *)
-let recover t ~trigger ~inflight ~attempt =
+(* The full §3.2 protocol.  Returns the in-flight operation's outcome;
+   a failed recovery ends in fail-stop and [EIO], never in a runtime-error
+   exception escaping to the caller. *)
+let recover t ~trigger ~inflight =
   let started = Rae_util.Monoclock.now_ns () in
   let t0 = t.now () in
+  t.committed_during_op <- false;
   t.s_recoveries <- t.s_recoveries + 1;
   t.in_recovery <- true;
   (match t.events with
@@ -430,9 +403,10 @@ let recover t ~trigger ~inflight ~attempt =
         | Ok () -> ()
         | Error msg -> raise (Recovery_error ("contained reboot: " ^ msg)))
   in
-  (* Steps 4-8, shared by the cold and checkpoint-seeded strategies: the
+  (* Steps 4-7, shared by the cold and checkpoint-seeded strategies: the
      strategies differ only in how the shadow reaches the replay start
-     point ([entries] for cold, the Δ suffix for seeded). *)
+     point ([entries] for cold, the Δ suffix for seeded).  Returns the
+     report and the in-flight outcome. *)
   let finish shadow replay_entries ~seeded =
     (* 4. Constrained mode: replay the recorded suffix, cross-checking. *)
     let replayed, skipped, discrepancies =
@@ -476,38 +450,13 @@ let recover t ~trigger ~inflight ~attempt =
       fail_report None ~replayed ~skipped ~discrepancies ~handoff:(List.length dirty) ~delegated
         ~seeded
     in
-    append report;
-    (* Recovery-completion hook: close the recorder's recovery bracket
-       first so the bundle's health gauge reflects the post-recovery
-       state, then snapshot everything into a black-box bundle. *)
-    t.in_recovery <- false;
-    (match t.events with
-    | Some ev -> Rae_obs.Events.record_recovery_end ev ~ok:true ~seeded ~replayed
-    | None -> ());
-    emit_bundle t ~kind:Rae_obs.Blackbox.kind_recovery ~report;
-    (* 8. Delegated sync: re-issue on the recovered base. *)
-    if delegated then begin
-      ignore attempt;
-      (* Catch only genuine device failures; detector signals (Base_bug,
-         Hang, Validation_failed) must propagate so a second fault during
-         the delegated replay is not silently degraded to EIO. *)
-      phase "delegated-sync" (fun () ->
-          try Base.exec t.base inflight
-          with Rae_block.Device.Io_error _ -> Error Errno.EIO)
-    end
-    else inflight_outcome
+    (report, inflight_outcome)
   in
   let go_cold () =
     contained_reboot ();
-    (* 2. Launch the shadow on S0 (read-only, full checks, optional fsck —
-       the liveness precondition). *)
-    let config =
-      {
-        Shadow.default_config with
-        Shadow.checks = t.policy.shadow_checks;
-        fsck_on_attach = t.policy.fsck_before_recovery;
-      }
-    in
+    (* 2. Launch the shadow on S0 (read-only, full checks, full fsck —
+       the liveness precondition of paper §4.3). *)
+    let config = { Shadow.default_config with Shadow.fsck_on_attach = true } in
     let shadow =
       phase "shadow-attach" (fun () ->
           match Shadow.attach ~config ?tracer:t.tracer t.device with
@@ -538,21 +487,53 @@ let recover t ~trigger ~inflight ~attempt =
     let delta = List.filter (fun r -> r.Op.seq >= from_seq) entries in
     finish shadow delta ~seeded:true
   in
+  (* 8. Delegated sync: re-issue the in-flight sync on the recovered base.
+     This runs after the hand-off committed, outside the seeded->cold
+     fallback (replaying the window again would apply it twice), so a
+     second runtime error here is a failed recovery: fail-stop. *)
+  let delegated_sync () =
+    phase "delegated-sync" (fun () ->
+        let second what bug msg =
+          raise (Recovery_error (Printf.sprintf "delegated sync: %s %s: %s" what bug msg))
+        in
+        try Base.exec t.base inflight with
+        | Rae_block.Device.Io_error _ -> Error Errno.EIO
+        | Detector.Base_bug { bug; msg } -> second "panic" bug msg
+        | Detector.Hang { bug; msg } -> second "hang" bug msg
+        | Detector.Validation_failed { context; msg } -> second "validation" context msg)
+  in
   let go () =
     try
-      match t.ckpt with
-      | Some c when Checkpoint.valid c -> (
-          try go_seeded c
-          with Recovery_error reason ->
-            (* The checkpoint let us down: poison it, note the fallback,
-               and reconstruct the slow, trusted way — from S0. *)
-            Checkpoint.note_fallback c;
-            Checkpoint.poison c;
-            (match t.tracer with
-            | Some tr -> Rae_obs.Tracer.instant tr ~cat:"ckpt" ("ckpt-fallback:" ^ reason)
-            | None -> ());
-            go_cold ())
-      | _ -> go_cold ()
+      let report, inflight_outcome =
+        match t.ckpt with
+        | Some c when Checkpoint.valid c -> (
+            try go_seeded c
+            with Recovery_error reason ->
+              (* The checkpoint let us down: poison it, note the fallback,
+                 and reconstruct the slow, trusted way — from S0. *)
+              Checkpoint.note_fallback c;
+              Checkpoint.poison c;
+              (match t.tracer with
+              | Some tr -> Rae_obs.Tracer.instant tr ~cat:"ckpt" ("ckpt-fallback:" ^ reason)
+              | None -> ());
+              go_cold ())
+        | _ -> go_cold ()
+      in
+      let outcome =
+        if report.Report.r_delegated_sync then delegated_sync () else inflight_outcome
+      in
+      append report;
+      (* Recovery-completion hook: close the recorder's recovery bracket
+         first so the bundle's health gauge reflects the post-recovery
+         state, then snapshot everything into a black-box bundle. *)
+      t.in_recovery <- false;
+      (match t.events with
+      | Some ev ->
+          Rae_obs.Events.record_recovery_end ev ~ok:true ~seeded:report.Report.r_seeded
+            ~replayed:report.Report.r_replayed
+      | None -> ());
+      emit_bundle t ~kind:Rae_obs.Blackbox.kind_recovery ~report;
+      outcome
     with Recovery_error msg ->
       t.s_failed <- t.s_failed + 1;
       t.degraded <- Some msg;
@@ -580,50 +561,43 @@ let recover t ~trigger ~inflight ~attempt =
 
 (* ---- the execution wrapper ---- *)
 
-let rec exec_attempt t op ~attempt =
-  if attempt > t.policy.max_recovery_attempts then Error Errno.EIO
-  else
-    match Base.exec t.base op with
-    | outcome -> (
-        (* If a group commit ran inside this op, the whole window —
-           including this op — is durable: prune the log first, whatever
-           else happened. *)
-        let committed = t.committed_during_op in
-        t.committed_during_op <- false;
-        if committed then begin
-          Oplog.checkpoint t.oplog ~fds:(Base.fd_table t.base);
-          ckpt_cut t
-        end;
-        let warned = Detector.warnings (Base.detector t.base) in
-        Detector.clear (Base.detector t.base);
-        match warned with
-        | { Detector.w_bug; w_msg } :: _ when t.policy.treat_warnings_as_errors && not committed ->
-            (* WARN before durability: distrust the base's answer, let the
-               shadow re-execute the op in autonomous mode. *)
-            let trigger = Report.Warning_storm { bug = w_bug; msg = w_msg } in
-            recover t ~trigger ~inflight:op ~attempt
-        | _ :: _ when t.policy.treat_warnings_as_errors ->
-            (* WARN on an op whose effects already committed (and passed
-               the commit-barrier validation): the durable state is
-               verified, so re-execution could only diverge — log and
-               continue.  The warning stays counted in the detector. *)
-            outcome
-        | _ ->
-            if not committed then begin
-              Oplog.record t.oplog op outcome;
-              ckpt_fold t
-            end;
-            outcome)
-    | exception Detector.Base_bug { bug; msg } ->
-        recover_and_maybe_retry t op ~attempt (Report.Panic { bug; msg })
-    | exception Detector.Hang { bug; msg } ->
-        recover_and_maybe_retry t op ~attempt (Report.Hang_detected { bug; msg })
-    | exception Detector.Validation_failed { context; msg } ->
-        recover_and_maybe_retry t op ~attempt (Report.Validation { context; msg })
-
-and recover_and_maybe_retry t op ~attempt trigger =
-  t.committed_during_op <- false;
-  recover t ~trigger ~inflight:op ~attempt:(attempt + 1)
+let exec_base t op =
+  match Base.exec t.base op with
+  | outcome -> (
+      (* If a group commit ran inside this op, the whole window —
+         including this op — is durable: prune the log first, whatever
+         else happened. *)
+      let committed = t.committed_during_op in
+      t.committed_during_op <- false;
+      if committed then begin
+        Oplog.checkpoint t.oplog ~fds:(Base.fd_table t.base);
+        ckpt_cut t
+      end;
+      let warned = Detector.warnings (Base.detector t.base) in
+      Detector.clear (Base.detector t.base);
+      match warned with
+      | { Detector.w_bug; w_msg } :: _ when not committed ->
+          (* WARN before durability: distrust the base's answer, let the
+             shadow re-execute the op in autonomous mode. *)
+          recover t ~trigger:(Report.Warning_storm { bug = w_bug; msg = w_msg }) ~inflight:op
+      | _ :: _ ->
+          (* WARN on an op whose effects already committed (and passed
+             the commit-barrier validation): the durable state is
+             verified, so re-execution could only diverge — log and
+             continue.  The warning stays counted in the detector. *)
+          outcome
+      | [] ->
+          if not committed then begin
+            Oplog.record t.oplog op outcome;
+            ckpt_fold t
+          end;
+          outcome)
+  | exception Detector.Base_bug { bug; msg } ->
+      recover t ~trigger:(Report.Panic { bug; msg }) ~inflight:op
+  | exception Detector.Hang { bug; msg } ->
+      recover t ~trigger:(Report.Hang_detected { bug; msg }) ~inflight:op
+  | exception Detector.Validation_failed { context; msg } ->
+      recover t ~trigger:(Report.Validation { context; msg }) ~inflight:op
 
 (* [exec] with an origin: [corr] is the client-supplied correlation id
    (0 = none), [session] the serving-layer session (0 = local/embedded).
@@ -643,17 +617,17 @@ let exec_for t ~corr ~session op =
       Error Errno.EIO
   | None -> (
       match t.events with
-      | None -> exec_attempt t op ~attempt:0
+      | None -> exec_base t op
       | Some ev ->
           let t0 = Int64.to_int (t.now ()) in
-          let outcome = exec_attempt t op ~attempt:0 in
+          let outcome = exec_base t op in
           let lat_ns = Int64.to_int (t.now ()) - t0 in
           let kind = Op.kind_to_string (Op.kind op) in
           let errno = match outcome with Ok _ -> "" | Error e -> Errno.to_string e in
           Rae_obs.Events.record_op ev ~kind ~errno ~lat_ns ~corr ~session;
-          if lat_ns >= t.policy.slow_op_ns then
-            Rae_obs.Events.record_slow_op ev ~kind ~lat_ns ~threshold_ns:t.policy.slow_op_ns ~corr
-              ~session;
+          if lat_ns >= slow_op_threshold_ns then
+            Rae_obs.Events.record_slow_op ev ~kind ~lat_ns ~threshold_ns:slow_op_threshold_ns
+              ~corr ~session;
           outcome)
 
 let exec t op = exec_for t ~corr:0 ~session:0 op

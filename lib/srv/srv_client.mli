@@ -52,7 +52,7 @@ val session : t -> int
 
 val set_corr : t -> int -> unit
 (** Set the correlation id stamped on every subsequent request (0 = none,
-    the default).  The id rides the wire's v2 [Op_req] extension into the
+    the default).  The id rides in the wire's [Op_req] frame into the
     server's flight recorder, so a postmortem bundle can name the
     client-side request a recovery impacted — set it per logical
     application request for end-to-end correlation. *)
@@ -70,7 +70,7 @@ include Rae_vfs.Fs_intf.S with type t := t
 val ping : t -> bool
 val server_stats : t -> (Wire.server_stats, Rae_vfs.Errno.t) result
 
-(** {1 Observability verbs (protocol v2)} *)
+(** {1 Observability verbs} *)
 
 val metrics : t -> (string, Rae_vfs.Errno.t) result
 (** The server's Prometheus exposition text. *)

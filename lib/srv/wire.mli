@@ -8,19 +8,15 @@
     {v
     offset  size  field
     0       2     magic 0x5253 ("RS")
-    2       1     protocol version (1 or 2)
+    2       1     protocol version (2)
     3       1     frame type tag
     4       4     payload length (bytes)
     8       4     CRC32C over header bytes 0..7 ++ payload
     12      len   payload
     v}
 
-    Version 2 appends a client-supplied {e correlation id} to [Op_req]
-    (a trailing u32 extension, so v1 payloads are byte-identical and
-    decode with [corr = 0]) and adds the observability frames
-    ([Metrics_req]/[Bundles_req]/[Bundle_req] and replies).  Both
-    versions decode; {!encode_into} takes the version to emit, so a
-    server answers a v1 peer in v1 frames.
+    Only {!protocol_version} is spoken: a header carrying any other
+    version fails with [Bad_version].
 
     Decoding is total: any malformed input — bad magic, unknown version or
     frame tag, inconsistent lengths, checksum mismatch, crafted path
@@ -30,13 +26,7 @@
     scan. *)
 
 val protocol_version : int
-(** Newest version this codec speaks (2). *)
-
-val min_protocol_version : int
-(** Oldest version still decoded (1). *)
-
-val tag_min_version : int -> int
-(** Lowest protocol version in which a frame tag exists. *)
+(** The one version this codec speaks (2). *)
 
 val header_bytes : int
 val max_payload : int
@@ -62,8 +52,7 @@ type frame =
   | Stats_reply of server_stats
   | Op_req of { req : int; corr : int; op : Rae_vfs.Op.t }
       (** [corr] is the client-supplied correlation id threaded end to
-          end (flight recorder, postmortem bundles); [0] means none.
-          v1 frames decode with [corr = 0]. *)
+          end (flight recorder, postmortem bundles); [0] means none. *)
   | Op_reply of { req : int; outcome : Rae_vfs.Op.outcome }
   | Busy of { req : int; retry_after_ms : int }
       (** backpressure: the request was *not* queued; retry after the hint *)
@@ -75,11 +64,11 @@ type frame =
       (** server push: recovery [seq] (1-based controller recovery count)
           completed; [trigger]/[wall_us] come from {!Rae_core.Report} so
           clients can correlate with server-side logs *)
-  | Metrics_req  (** v2: ask for the server's Prometheus exposition *)
+  | Metrics_req  (** ask for the server's Prometheus exposition *)
   | Metrics_reply of { text : string }
-  | Bundles_req  (** v2: list available black-box bundles *)
+  | Bundles_req  (** list available black-box bundles *)
   | Bundles_reply of { names : string list }
-  | Bundle_req of { name : string }  (** v2: fetch one bundle by name *)
+  | Bundle_req of { name : string }  (** fetch one bundle by name *)
   | Bundle_reply of { name : string; data : string }
 
 type error =
@@ -108,15 +97,13 @@ type encoder
 
 val encoder : unit -> encoder
 
-val encode_into : ?version:int -> encoder -> frame -> Buffer.t -> unit
+val encode_into : encoder -> frame -> Buffer.t -> unit
 (** Serialize one frame, header included, appending the bytes to the
     given output buffer (typically the connection's tx buffer).  The
     encoder's scratch state is clobbered; one encoder must not be shared
-    across connections that encode concurrently.  [version] (default
-    {!protocol_version}) selects the emitted frame version — a server
-    talking to a v1 peer passes its negotiated version. *)
+    across connections that encode concurrently. *)
 
-val encode : ?version:int -> frame -> string
+val encode : frame -> string
 (** Serialize one frame, header included.  Convenience wrapper over
     {!encode_into} with a throwaway encoder (tests, client one-shots);
     servers should hold an {!encoder} per connection instead. *)

@@ -845,6 +845,66 @@ let test_degrades_on_unrecoverable_image () =
   | Error Errno.EIO -> ()
   | _ -> Alcotest.fail "degraded controller must return EIO")
 
+(* A second runtime error during the delegated sync: the 15th fsync hangs,
+   recovery hands off, and re-issuing that fsync on the rebooted base
+   panics.  The hand-off already committed, so neither a retry nor the
+   seeded->cold fallback is sound: the only clean end is fail-stop, with
+   EIO, health FAILSTOP and a bundle naming the trigger. *)
+let test_second_bug_in_delegated_sync () =
+  let hang =
+    match Bug_registry.find "fsync-deadlock" with Some s -> s | None -> Alcotest.fail "no bug"
+  in
+  let panic = { hang with Bug_registry.id = "second-fsync-panic"; consequence = Bug_registry.Panic } in
+  List.iter
+    (fun (arm_name, policy) ->
+      let dir = Filename.temp_file "rae-test-bundles" "" in
+      Sys.remove dir;
+      let disk = Disk.create ~latency:Disk.zero_latency ~block_size:bs ~nblocks:2048 () in
+      let dev = Device.of_disk disk in
+      ignore (ok (Base.mkfs dev ~ninodes:256 ()));
+      let base = ok (Base.mount ~bugs:(Bug_registry.arm [ hang; panic ]) dev) in
+      let ctl = Controller.make ~policy ~bundle_dir:dir ~device:dev base in
+      let check_eq name = Alcotest.(check int) (arm_name ^ ": " ^ name) in
+      let fd = ok (Controller.openf ctl (p "/f") Types.flags_create) in
+      for i = 1 to 14 do
+        ignore (ok (Controller.pwrite ctl fd ~off:(i * 10) "x"));
+        ignore (ok (Controller.fsync ctl fd))
+      done;
+      ignore (ok (Controller.pwrite ctl fd ~off:150 "x"));
+      (match Controller.fsync ctl fd with
+      | Error Errno.EIO -> ()
+      | Ok () -> Alcotest.failf "%s: the 15th fsync cannot succeed" arm_name
+      | Error e -> Alcotest.failf "%s: expected EIO, got %s" arm_name (Errno.to_string e));
+      let s = Controller.stats ctl in
+      check_eq "one recovery" 1 s.Controller.recoveries;
+      check_eq "and it failed" 1 s.Controller.recoveries_failed;
+      Alcotest.(check bool) (arm_name ^ ": health FAILSTOP") true
+        (Controller.health ctl = Rae_obs.Events.Failstop);
+      (match Controller.degraded ctl with
+      | Some reason ->
+          Alcotest.(check bool) (arm_name ^ ": reason names the second bug") true
+            (contains reason "second-fsync-panic")
+      | None -> Alcotest.failf "%s: not degraded" arm_name);
+      (match List.rev (Controller.bundles ctl) with
+      | path :: _ -> (
+          match Rae_obs.Blackbox.check_file path with
+          | Error vs -> Alcotest.failf "%s: bundle invalid: %s" arm_name (String.concat "; " vs)
+          | Ok b ->
+              Alcotest.(check string) (arm_name ^ ": kind") Rae_obs.Blackbox.kind_failstop
+                b.Rae_obs.Blackbox.s_kind;
+              Alcotest.(check (option string)) (arm_name ^ ": trigger")
+                (Some "hang(fsync-deadlock)") b.Rae_obs.Blackbox.s_trigger)
+      | [] -> Alcotest.failf "%s: no bundle written" arm_name);
+      (match Controller.stat ctl (p "/f") with
+      | Error Errno.EIO -> ()
+      | _ -> Alcotest.failf "%s: a fail-stopped controller answers EIO" arm_name);
+      Alcotest.(check bool) (arm_name ^ ": image clean") true
+        (Rae_fsck.Fsck.clean (Rae_fsck.Fsck.check_device dev)))
+    [
+      ("cold", Controller.default_policy);
+      ("seeded", { Controller.default_policy with Controller.ckpt_enabled = true });
+    ]
+
 let test_recovery_counts_in_stats () =
   let _disk, _dev, ctl = mk ~bugs:(arm [ "crafted-name-panic" ]) () in
   ignore (Controller.create ctl (p "/pwn") ~mode:0o644);
@@ -914,6 +974,8 @@ let () =
       ( "degradation",
         [
           Alcotest.test_case "unrecoverable image" `Quick test_degrades_on_unrecoverable_image;
+          Alcotest.test_case "second bug in delegated sync" `Quick
+            test_second_bug_in_delegated_sync;
           Alcotest.test_case "stats" `Quick test_recovery_counts_in_stats;
         ] );
     ]

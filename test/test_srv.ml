@@ -291,30 +291,27 @@ let test_decode_garbage () =
     | Wire.Frame _ | Wire.Need_more | Wire.Fail _ -> ()
   done
 
-(* ---- protocol versioning: the corr-id extension ---- *)
+(* ---- protocol versioning: only v2 decodes ---- *)
 
-let test_wire_corr_versioning () =
+let test_wire_only_v2 () =
   let f = Wire.Op_req { req = 7; corr = 0xbeef; op = Op.Sync } in
-  (* v2 (the default) round-trips the correlation id. *)
   (match Wire.decode_string (Wire.encode f) with
   | Wire.Frame (Wire.Op_req { req = 7; corr = 0xbeef; op = Op.Sync }, _) -> ()
-  | _ -> Alcotest.fail "v2 must round-trip corr");
-  (* A v1 frame carries no corr bytes: it decodes with corr = 0 and is
-     byte-identical to the pre-extension encoding. *)
-  let v1 = Wire.encode ~version:Wire.min_protocol_version f in
-  (match Wire.decode_string v1 with
-  | Wire.Frame (Wire.Op_req { req = 7; corr = 0; op = Op.Sync }, _) -> ()
-  | _ -> Alcotest.fail "v1 must decode with corr = 0");
-  Alcotest.(check string) "v1 encoding ignores corr" v1
-    (Wire.encode ~version:Wire.min_protocol_version
-       (Wire.Op_req { req = 7; corr = 0; op = Op.Sync }));
-  Alcotest.(check bool) "corr costs bytes only in v2" true
-    (String.length (Wire.encode f) > String.length v1);
-  (* Observability frames do not exist in v1: a v1-framed Metrics_req is
-     rejected at decode, never mis-parsed. *)
-  match Wire.decode_string (Wire.encode ~version:Wire.min_protocol_version Wire.Metrics_req) with
-  | Wire.Fail _ -> ()
-  | Wire.Frame _ | Wire.Need_more -> Alcotest.fail "v2-only tag must not decode as v1"
+  | _ -> Alcotest.fail "corr must round-trip");
+  (* Relabel the frame as version 1 with a valid checksum, so the version
+     byte is its only defect: the decoder must refuse it. *)
+  let b = Bytes.of_string (Wire.encode f) in
+  Rae_util.Codec.set_u8 b 2 1;
+  let crc = Rae_util.Checksum.crc32c b ~pos:0 ~len:8 in
+  let crc =
+    Rae_util.Checksum.crc32c ~init:crc b ~pos:Wire.header_bytes
+      ~len:(Bytes.length b - Wire.header_bytes)
+  in
+  Rae_util.Codec.set_i32 b 8 crc;
+  match Wire.decode b ~pos:0 ~len:(Bytes.length b) with
+  | Wire.Fail (Wire.Bad_version 1) -> ()
+  | Wire.Fail e -> Alcotest.failf "expected Bad_version 1, got %a" Wire.pp_error e
+  | Wire.Frame _ | Wire.Need_more -> Alcotest.fail "a v1 header must not decode"
 
 (* ---- session unit tests ---- *)
 
@@ -380,14 +377,18 @@ let attach server =
   cid
 
 let test_server_bad_hello () =
-  let server = Server.create (mk_ctl ()) in
-  let cid = Server.open_conn server in
-  Server.feed server cid (Wire.encode (Wire.Hello { version = 99 }));
-  (match decode_all "bad hello" (Server.output server cid) with
-  | [ Wire.Err { errno = Errno.EPROTO; _ } ] -> ()
-  | _ -> Alcotest.fail "expected a protocol Err frame");
-  Alcotest.(check bool) "connection dropped" true (Server.conn_closed server cid);
-  Alcotest.(check bool) "counted" true ((Server.stats server).Server.protocol_errors >= 1)
+  List.iter
+    (fun version ->
+      let server = Server.create (mk_ctl ()) in
+      let cid = Server.open_conn server in
+      Server.feed server cid (Wire.encode (Wire.Hello { version }));
+      let name = Printf.sprintf "hello v%d" version in
+      (match decode_all name (Server.output server cid) with
+      | [ Wire.Err { errno = Errno.EPROTO; _ } ] -> ()
+      | _ -> Alcotest.failf "%s: expected a protocol Err frame" name);
+      Alcotest.(check bool) (name ^ ": connection dropped") true (Server.conn_closed server cid);
+      Alcotest.(check int) (name ^ ": counted") 1 (Server.stats server).Server.protocol_errors)
+    [ 1; 99 ]
 
 let test_server_op_before_hello () =
   let server = Server.create (mk_ctl ()) in
@@ -747,8 +748,7 @@ let () =
           Alcotest.test_case "errno wire codes total and injective" `Quick
             test_errno_wire_total;
           Alcotest.test_case "random garbage never raises" `Quick test_decode_garbage;
-          Alcotest.test_case "corr id across protocol versions" `Quick
-            test_wire_corr_versioning;
+          Alcotest.test_case "only protocol v2 decodes" `Quick test_wire_only_v2;
         ] );
       ( "session",
         [
